@@ -9,12 +9,13 @@ against (the CI ``bench-smoke`` job fails on >10% regression).
 
 Every in-process cache is dropped before each timed pass, so a pass
 never feeds on work done by an earlier one: the accelerated pass pays
-for its own trace building, span segmentation, and memoization.
+for its own trace building, decoding, and memoization.
 
 ``repro bench --batched`` adds a second experiment on the same record:
-the full (kernel x ALL_CONFIGS) sweep timed serial-per-config versus
-config-batched (:func:`run_batched_bench`), with its own bit-identity
-flag and span diagnostics.
+the full (kernel x ALL_CONFIGS) sweep timed as serial accel-off
+``Job.kernel`` runs versus one accel-on ``Job.sweep`` per kernel
+(:func:`run_batched_bench`), with its own bit-identity flag.  Its ratio
+is the accel off->on ratio across all ten configs, not a batching gain.
 """
 
 from __future__ import annotations
@@ -48,19 +49,17 @@ def run_suite_bench(config=None, scale: float = 0.5, seed: int = 0,
     """Time the microbench sweep with accel off, then on.
 
     Returns a record with both wall-clock times, the speedup, throughput
-    in retired uops/second, fast-path coverage of the accelerated pass,
-    and an ``identical`` flag asserting the bit-identity contract held
-    for every kernel's cycle count and stall attribution.
+    in retired uops/second, and an ``identical`` flag asserting the
+    bit-identity contract held for every kernel's cycle count and stall
+    attribution.
     """
     if config is None:
         from ..soc.presets import ROCKET1 as config
 
     off_runs, off_s = _suite_pass(config.with_(accel="off"), scale, seed,
                                   kernels)
-    reset_global_stats()
     on_runs, on_s = _suite_pass(config.with_(accel="on"), scale, seed,
                                 kernels)
-    g = global_stats()
 
     identical = all(
         a.result.cycles == b.result.cycles
@@ -80,75 +79,21 @@ def run_suite_bench(config=None, scale: float = 0.5, seed: int = 0,
         "uops": uops,
         "off_uops_per_second": round(uops / off_s) if off_s else 0,
         "on_uops_per_second": round(uops / on_s) if on_s else 0,
-        "fastpath_coverage": round(g.coverage, 4),
-        "span_solver": _span_solver_record(on_runs),
         "identical": identical,
     }
 
 
-def _span_solver_record(on_runs) -> dict[str, Any]:
-    """Per-kernel span-solver engagement for the accelerated pass.
-
-    Answers the question a bare ``fastpath_coverage: 0.0`` leaves open:
-    did the solver never *try* (no eligible spans in the traces — a
-    workload property) or did it try and *give up* (aborts — an engine
-    property)?  Per kernel: spans attempted/completed, the two abort
-    reasons, fast-path coverage, and the static analysis of why the
-    trace segments the way it does; plus a suite-wide roll-up including
-    the aggregate hazard-density histogram.
-    """
-    totals = {"spans": 0, "spans_completed": 0,
-              "aborts_no_converge": 0, "aborts_fe_hazard": 0,
-              "uops": 0, "eligible_uops": 0, "span_uops": 0,
-              "runs_below_min_span": 0}
-    hazard = [0] * 10
-    per_kernel: dict[str, Any] = {}
-    for name, run in on_runs.items():
-        info = getattr(run, "accel", None)
-        if not info:
-            continue
-        eng, static = info["engine"], info["static"]
-        fast = eng.get("fastpath_uops", 0)
-        slow = eng.get("fallback_uops", 0)
-        per_kernel[name] = {
-            "spans": eng.get("spans", 0),
-            "spans_completed": eng.get("spans_completed", 0),
-            "aborts_no_converge": eng.get("aborts_no_converge", 0),
-            "aborts_fe_hazard": eng.get("aborts_fe_hazard", 0),
-            "coverage": round(fast / (fast + slow), 4)
-            if fast + slow else 0.0,
-            "eligible_uops": static["eligible_uops"],
-            "uops": static["uops"],
-            "runs_below_min_span": static["runs_below_min_span"],
-        }
-        for k in ("spans", "spans_completed",
-                  "aborts_no_converge", "aborts_fe_hazard"):
-            totals[k] += eng.get(k, 0)
-        for k in ("uops", "eligible_uops", "span_uops",
-                  "runs_below_min_span"):
-            totals[k] += static[k]
-        hazard = [a + b for a, b in zip(hazard, static["hazard_density"])]
-    totals["eligible_frac"] = (round(totals["eligible_uops"]
-                                     / totals["uops"], 4)
-                               if totals["uops"] else 0.0)
-    totals["hazard_density"] = hazard
-    totals["per_kernel"] = per_kernel
-    return totals
-
-
 def run_batched_bench(configs=None, scale: float = 0.3, seed: int = 0,
                       kernels: list[str] | None = None) -> dict[str, Any]:
-    """Time the (kernel x config) sweep serial-per-config, then batched.
+    """Time the (kernel x config) sweep: serial accel-off, then swept.
 
     The serial leg runs one ``Job.kernel`` per (kernel, config) pair on
-    the reference models (``accel="off"``) — the per-config path every
-    batched point is contractually bit-identical to.  The batched leg
-    runs one config-batched ``Job.sweep`` per kernel: the trace is
-    compiled once and every configuration evaluated over it in a single
-    vectorized pass.  Both legs start cache-cold; ``identical`` asserts
-    full payload equality on every (kernel, config) point, and
-    ``span_diagnostics`` reports how the batched pass earned its time
-    (fast-path coverage, span engagement, compiled-trace store traffic).
+    the reference models (``accel="off"``).  The ``batched`` leg runs one
+    ``Job.sweep`` per kernel with ``accel="on"``: the sweep shares one
+    decoded trace and walks the configs in a plain loop.  The legs differ in acceleration, so
+    ``speedup`` is the accel off->on ratio, not a batching gain.  Both
+    legs start cache-cold; ``identical`` asserts full payload equality
+    on every (kernel, config) point.
     """
     from ..farm.job import Job, execute_job
     from ..soc.presets import ALL_CONFIGS
@@ -170,15 +115,14 @@ def run_batched_bench(configs=None, scale: float = 0.3, seed: int = 0,
     serial_s = time.perf_counter() - t0
 
     memo.clear_caches()
-    reset_global_stats()
     batched: dict[str, dict[str, Any]] = {}
     t0 = time.perf_counter()
     for kname in names:
-        payload = execute_job(Job.sweep(configs, kname,
-                                        scale=scale, seed=seed))
+        payload = execute_job(Job.sweep(
+            [cfg.with_(accel="on") for cfg in configs], kname,
+            scale=scale, seed=seed))
         batched[kname] = payload["points"]
     batched_s = time.perf_counter() - t0
-    g = global_stats()
 
     identical = all(
         serial[kname][cfg.name] == batched[kname][cfg.name]
@@ -193,17 +137,6 @@ def run_batched_bench(configs=None, scale: float = 0.3, seed: int = 0,
         "batched_seconds": round(batched_s, 3),
         "speedup": round(serial_s / batched_s, 2) if batched_s else 0.0,
         "identical": identical,
-        "span_diagnostics": {
-            "fastpath_uops": g.fastpath_uops,
-            "fallback_uops": g.fallback_uops,
-            "coverage": round(g.coverage, 4),
-            "spans": g.spans,
-            "spans_completed": g.spans_completed,
-            "aborts_no_converge": g.aborts_no_converge,
-            "aborts_fe_hazard": g.aborts_fe_hazard,
-            "compile_store_hits": g.compile_store_hits,
-            "compile_store_misses": g.compile_store_misses,
-        },
     }
 
 
@@ -268,7 +201,7 @@ def run_bench(config=None, scale: float = 0.5, seed: int = 0,
 
     With *batched* (CLI ``repro bench --batched``) the record also gets
     a ``batched`` section timing the full (kernel x ALL_CONFIGS) sweep
-    serial-per-config versus config-batched.
+    as serial accel-off jobs versus accel-on sweep jobs.
     """
     record = {
         "schema": BENCH_SCHEMA,

@@ -8,8 +8,8 @@ redundancy without touching semantics:
 * :func:`trace_digest` — content identity of a :class:`~repro.isa.trace.Trace`
   (sha-256 over its column arrays, the same hashing the checkpoint layer
   uses), computed once per trace object.
-* :func:`trace_arrays` — per-trace decoded view for the fast engine
-  (python lists of every column plus the pre-segmented eligible spans).
+* :func:`trace_arrays` — per-trace decoded view for the fast engines
+  (python lists of every column), the one decoded-trace cache.
 * :func:`shared_trace` — process-wide ``(kernel, scale, seed) -> Trace``
   cache so sweeps share one decoded trace across configurations.
 * :func:`memo_get` / :func:`memo_put` — a bounded in-process LRU keyed on
@@ -102,11 +102,12 @@ _arrays: OrderedDict[int, tuple[Any, dict[str, Any]]] = OrderedDict()
 
 
 def trace_arrays(trace) -> dict[str, Any]:
-    """Python-list views of a trace's columns plus its eligible spans.
+    """Python-list views of a trace's columns.
 
     ``tolist()`` converts numpy scalars to plain ints/bools once, so the
-    scalar fast loop never pays per-element numpy unboxing.  The result is
-    cached per trace object (bounded; traces are immutable).
+    scalar fast loops never pay per-element numpy unboxing.  The result is
+    cached per trace object (bounded; traces are immutable).  No content
+    digest is taken: that is only needed for memo keys.
     """
     key = id(trace)
     hit = _arrays.get(key)
@@ -115,7 +116,6 @@ def trace_arrays(trace) -> dict[str, Any]:
             _arrays.move_to_end(key)
             return hit[1]
         del _arrays[key]  # id() reuse after an external purge: rebuild
-    from .fastpath import build_spans
     view: dict[str, Any] = {
         "op": trace.op.tolist(),
         "dst": trace.dst.tolist(),
@@ -126,7 +126,6 @@ def trace_arrays(trace) -> dict[str, Any]:
         "taken": trace.taken.tolist(),
         "pc": trace.pc.tolist(),
         "target": trace.target.tolist(),
-        "spans": build_spans(trace),
         "trace": trace,
     }
     _arrays[key] = (trace, view)
@@ -140,18 +139,16 @@ def trace_arrays(trace) -> dict[str, Any]:
 _lat_luts: dict = {}
 
 
-def latency_lut(lat_table):
-    """``(list, ndarray)`` of per-OpClass latencies, cached per table.
+def latency_lut(lat_table) -> list:
+    """Per-OpClass latency list, cached per table.
 
     ``LatencyTable`` is a frozen (hashable) dataclass, so the table
-    itself keys the cache; the list feeds the scalar loop, the float64
-    array the span solver.
+    itself keys the cache.
     """
     hit = _lat_luts.get(lat_table)
     if hit is None:
         from repro.isa.opcodes import OpClass
-        lut = [lat_table.latency_of(op) for op in OpClass]
-        hit = (lut, np.asarray(lut, dtype=np.float64))
+        hit = [lat_table.latency_of(op) for op in OpClass]
         _lat_luts[lat_table] = hit
     return hit
 
@@ -233,10 +230,8 @@ def memo_put(key: tuple, payload) -> None:
 def clear_caches() -> None:
     """Drop every in-process cache (benchmarks call this between timed
     passes so a measurement never feeds on an earlier pass's work)."""
-    from .compile import clear_compiled
     _digests.clear()
     _arrays.clear()
     _traces.clear()
     _memo.clear()
     _lat_luts.clear()
-    clear_compiled()

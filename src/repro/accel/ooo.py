@@ -12,26 +12,25 @@ Every timing decision below is a line-for-line transliteration of
 ``OoOCore.run`` — the same fractional-cycle bandwidth chains, the same
 ring-buffer capacity bookkeeping, the same issue-port min-scan, in the
 same order on the same values — executed over the plain-list columns of
-a :class:`~repro.accel.compile.CompiledTrace` with the closure-bound
+:func:`repro.accel.memo.trace_arrays` with the closure-bound
 memory and branch mirrors from :mod:`repro.accel.engine`
 (:func:`~repro.accel.engine.attach_port`,
 :func:`~repro.accel.engine._mirror_branch_unit`).  Mirrors flush back at
 detach — including when the trace raises — so the reference objects
 always hold the authoritative state between runs.
 
-There is no span fast path here: the OoO model has no span-shaped
-generic rule (every op touches rings, ports, and chains), so all uops
-retire through the transliterated loop and count as ``fallback_uops``
-in the coverage metrics.
+Every uop retires through the transliterated loop and counts as
+``fallback_uops``, exactly as in the in-order engine.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.base import CoreResult
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import FP_OPS, OpClass
 
 from . import memo
-from .compile import compiled_trace
 from .engine import _mirror_branch_unit, attach_port
 
 __all__ = ["OoOAccelEngine"]
@@ -42,6 +41,9 @@ _AMO = int(OpClass.AMO)
 _DIV = int(OpClass.INT_DIV)
 _VLOAD = int(OpClass.VLOAD)
 _VSETVL = int(OpClass.VSETVL)
+
+_FP_LUT = np.zeros(256, dtype=bool)
+_FP_LUT[[int(op) for op in FP_OPS]] = True
 
 
 class OoOAccelEngine:
@@ -57,8 +59,7 @@ class OoOAccelEngine:
         bru = core.bru
         astats = core.accel_stats
 
-        ct = compiled_trace(trace)
-        cols = ct.cols
+        cols = memo.trace_arrays(trace)
         op_l = cols["op"]
         dst_l = cols["dst"]
         s1_l = cols["src1"]
@@ -67,10 +68,12 @@ class OoOAccelEngine:
         taken_l = cols["taken"]
         pc_l = cols["pc"]
         tgt_l = cols["target"]
-        lines_l = ct.lines
-        fp_l = ct.is_fp
-        n = ct.n
-        lat_list, _ = memo.latency_lut(cfg.latencies)
+        # per-uop 64-byte fetch line (front-end replay) and FP-ness
+        # (issue-queue steering)
+        lines_l = (trace.pc.astype(np.int64) >> 6).tolist()
+        fp_l = _FP_LUT[trace.op].tolist()
+        n = len(op_l)
+        lat_list = memo.latency_lut(cfg.latencies)
 
         dload, dstore, ifetch, mem_detach = attach_port(port)
         resolve, bru_detach = _mirror_branch_unit(bru)

@@ -2,16 +2,13 @@
 
 Two scopes:
 
-* :class:`AccelStats` — per-core fast-path coverage.  Each accelerated
-  :class:`~repro.core.inorder.InOrderCore` owns one; the counters say how
-  many micro-ops retired through the vectorized span engine
-  (``fastpath_uops``) versus the transliterated scalar loop
-  (``fallback_uops``), and how often a span had to be abandoned at a
-  front-end hazard (``span_aborts``).
-* :func:`global_stats` — process-wide memoization counters (result memo,
-  shared trace cache, interpreter decode cache).  These live outside any
-  :class:`~repro.soc.System` because a memo hit never builds a system at
-  all.
+* :class:`AccelStats` — per-core engine counters.  Each accelerated core
+  owns one; ``fallback_uops`` counts the micro-ops its transliterated
+  scalar loop retired.
+* :func:`global_stats` — process-wide counters (result memo, shared
+  trace cache, interpreter decode cache, and the same uop total summed
+  over every engine).  These live outside any :class:`~repro.soc.System`
+  because a memo hit never builds a system at all.
 
 Both surface through :class:`repro.telemetry.StatsRegistry` snapshots
 under conditional ``accel`` keys (present only when the config runs with
@@ -29,24 +26,9 @@ __all__ = ["AccelStats", "AccelGlobalStats", "global_stats",
 
 @dataclass
 class AccelStats:
-    """Per-core fast-path coverage counters."""
+    """Per-core engine counters."""
 
-    fastpath_uops: int = 0     #: uops retired by the vectorized span engine
-    fallback_uops: int = 0     #: uops retired by the scalar scoreboard path
-    spans: int = 0             #: spans attempted by the vector engine
-    span_aborts: int = 0       #: spans cut short (front-end miss / no converge)
-    spans_completed: int = 0   #: spans solved and retired end to end
-    #: rejection reasons behind ``span_aborts`` (the engagement split
-    #: ``repro bench`` reports): readiness fixed point failed to
-    #: converge vs. a real I-fetch stall invalidating the constant
-    #: front-end assumption mid-span
-    aborts_no_converge: int = 0
-    aborts_fe_hazard: int = 0
-
-    @property
-    def coverage(self) -> float:
-        total = self.fastpath_uops + self.fallback_uops
-        return self.fastpath_uops / total if total else 0.0
+    fallback_uops: int = 0     #: uops retired by the scalar engine loop
 
     def reset(self) -> None:
         self.__init__()
@@ -54,34 +36,20 @@ class AccelStats:
 
 @dataclass
 class AccelGlobalStats:
-    """Process-wide accel counters: memo caches plus aggregate coverage.
+    """Process-wide accel counters: memo caches plus engine uops.
 
-    ``fastpath_uops``/``fallback_uops`` accumulate across every engine in
-    the process (systems are often built and discarded per run, so the
-    per-core :class:`AccelStats` may be gone by the time a harness wants
-    coverage numbers).
+    ``fallback_uops`` accumulates across every engine in the process
+    (systems are often built and discarded per run, so the per-core
+    :class:`AccelStats` may be gone by the time a harness reads it).
     """
 
     memo_hits: int = 0
     memo_misses: int = 0
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
-    #: compiled-trace fetches served by / missed in a shared result store
-    compile_store_hits: int = 0
-    compile_store_misses: int = 0
     decode_hits: int = 0
     decode_misses: int = 0
-    fastpath_uops: int = 0
     fallback_uops: int = 0
-    spans: int = 0
-    spans_completed: int = 0
-    aborts_no_converge: int = 0
-    aborts_fe_hazard: int = 0
-
-    @property
-    def coverage(self) -> float:
-        total = self.fastpath_uops + self.fallback_uops
-        return self.fastpath_uops / total if total else 0.0
 
     def reset(self) -> None:
         self.__init__()

@@ -349,13 +349,13 @@ def _lint_stream(records: list[dict], config_name: str) -> list[str]:
 # -- tier 4: farm vs serial --------------------------------------------------
 
 
-# -- batch tier: config-batched sweep vs serial per-config jobs -------------
+# -- batch tier: sweep job vs serial per-config jobs ------------------------
 
 
 def diff_batch(kernel: str, config_names: Sequence[str] | None = None,
                seed: int = 0, scale: float = 0.3,
                resume: bool = True) -> list[str]:
-    """Config-batched sweep vs serial per-config jobs, bit-for-bit.
+    """Sweep job vs serial per-config jobs, bit-for-bit.
 
     Three legs over the same (kernel, scale, seed) and config set, with
     every in-process cache cleared between them so memoization can never
@@ -363,10 +363,9 @@ def diff_batch(kernel: str, config_names: Sequence[str] | None = None,
 
     1. *serial*: one ``Job.kernel`` per config through
        :func:`~repro.farm.job.execute_job` — the farm's ordinary path.
-    2. *batched*: one ``Job.sweep`` over all configs — the compiled
-       trace is shared and the in-order configs solve each span in a
-       single config-vectorized call.
-    3. *resume* (on by default): the batched job again, but killed by an
+    2. *batched*: one ``Job.sweep`` over all configs, run in one
+       process with a shared decoded trace.
+    3. *resume* (on by default): the sweep job again, but killed by an
        injected worker fault after half the configs and restarted from
        its mid-run checkpoint.
 

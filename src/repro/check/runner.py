@@ -10,9 +10,9 @@ configuration and every tier still gets exercised:
 * ``accel``: every seed on a rotating pair drawn from ALL_CONFIGS, so
   ``seeds >= len(ALL_CONFIGS)/2`` covers every configuration; pass
   ``accel_all=True`` (CLI ``--accel-all``) to run all configs per seed.
-* ``batch``: strided on its own offset — the config-batched sweep
-  engine against serial per-config jobs (including a killed-and-resumed
-  batched leg), on a seed-rotated microbench kernel and config pair.
+* ``batch``: strided on its own offset — a ``Job.sweep`` against
+  serial per-config jobs (including a killed-and-resumed sweep leg), on
+  a seed-rotated microbench kernel and config pair.
 * ``checkpoint``: every ``checkpoint_every``-th seed.
 * ``instrument``: same stride, offset by half, so the instrumented
   bit-identity proof exercises different seeds than ``checkpoint``.
@@ -163,7 +163,7 @@ def run_check(seeds: int = 25, start_seed: int = 0,
 
         # strided on its own offset; rotates kernel and config pair per
         # invocation so repeated CI runs walk the whole cross product.
-        # The batch oracle runs on microbench kernels (the sweep engine's
+        # The batch oracle runs on microbench kernels (the sweep job's
         # domain), not on the generated program — the seed picks which.
         if ("batch" in tiers
                 and n % checkpoint_every == checkpoint_every - 1):

@@ -47,9 +47,9 @@ Commands
     Time the microbench sweep with ``accel`` off then on plus the
     functional interpreter, verify bit-identity, and write the tracked
     ``BENCH_<n>.json`` record (see ``docs/performance.md``).
-    ``--batched`` adds the (kernel x ALL_CONFIGS) sweep timed
-    serial-per-config versus config-batched, with its own bit-identity
-    flag.
+    ``--batched`` adds the (kernel x ALL_CONFIGS) sweep timed as serial
+    accel-off ``Job.kernel`` runs versus one accel-on ``Job.sweep`` per
+    kernel, with its own bit-identity flag.
 ``serve [--spool DIR] [--deploy SPEC] [--quota N] [--tenant-quota T=N]``
     Run the long-lived farm service: multi-tenant named queues with
     integer priorities, per-tenant quotas and fair scheduling in front
@@ -78,7 +78,7 @@ Commands
     finishes bit-identical to an uninterrupted run.
 ``check [--seeds N] [--tiers T,U] [--accel-all] [--no-shrink]``
     Property-based differential checking: fuzz generated RISC-V programs
-    through the interpreter-vs-golden, accel on/off, batched-vs-serial
+    through the interpreter-vs-golden, accel on/off, sweep-job-vs-per-config-job
     config sweeps, checkpoint/restore, instrumented-vs-bare,
     farm-vs-serial, and chaos (serve layer under seeded faults, crash +
     recovery) oracles plus the telemetry invariant lint; shrink any
@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated kernel names "
                         "(default: the full runnable suite)")
     b.add_argument("--batched", action="store_true",
-                   help="also time the (kernel x ALL_CONFIGS) sweep "
-                        "serial-per-config vs config-batched")
+                   help="also time the (kernel x ALL_CONFIGS) sweep: "
+                        "serial accel-off jobs vs accel-on sweep jobs")
     b.add_argument("--out", default=None, metavar="FILE",
                    help="write the benchmark record here (e.g. BENCH_5.json)")
     b.add_argument("--json", action="store_true",
@@ -802,24 +802,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"suite  {s['config']}: {s['kernels']} kernels x scale "
                   f"{s['scale']}: off {s['off_seconds']}s, on "
                   f"{s['on_seconds']}s, speedup x{s['speedup']}, "
-                  f"coverage {s['fastpath_coverage']:.1%}, "
                   f"{'bit-identical' if s['identical'] else 'DIVERGED'}")
-            sp = s.get("span_solver")
-            if sp:
-                elig = sp.get("eligible_frac", 0.0)
-                print(f"spans  {sp['spans']} attempted, "
-                      f"{sp['spans_completed']} completed, aborts: "
-                      f"{sp['aborts_no_converge']} no-converge, "
-                      f"{sp['aborts_fe_hazard']} fe-hazard; "
-                      f"{elig:.1%} of uops span-eligible, "
-                      f"{sp['runs_below_min_span']} runs below min span, "
-                      f"hazard deciles {sp['hazard_density']}")
             bt = record.get("batched")
             if bt:
                 print(f"batched {bt['kernels']} kernels x "
-                      f"{len(bt['configs'])} configs: serial "
-                      f"{bt['serial_seconds']}s, batched "
-                      f"{bt['batched_seconds']}s, speedup x{bt['speedup']}, "
+                      f"{len(bt['configs'])} configs: serial accel-off "
+                      f"{bt['serial_seconds']}s, accel-on sweep jobs "
+                      f"{bt['batched_seconds']}s, off/on x{bt['speedup']}, "
                       f"{'bit-identical' if bt['identical'] else 'DIVERGED'}")
             print(f"interp {it['instructions']:,} instructions in "
                   f"{it['seconds']}s "

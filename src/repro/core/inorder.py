@@ -75,7 +75,7 @@ class InOrderCore(CoreModel):
         self._icache_hit = icache_hit_latency
         # accelerated engine (repro.accel): bit-identical fast path, built
         # lazily on first run so reference-only cores never import numpy
-        # mirrors; accel_stats tracks its fast-path coverage
+        # mirrors; accel_stats counts the uops it retires
         self._accel_on = accel
         self._accel = None
         from ..accel.stats import AccelStats

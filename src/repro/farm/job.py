@@ -114,15 +114,15 @@ class Job:
     def sweep(cls, configs: Sequence[SoCConfig], name: str,
               scale: float = 1.0, seed: int = 0, warmup: bool = True,
               timeout_s: float | None = None) -> "Job":
-        """One config-batched kernel sweep: every config, one compiled trace.
+        """One kernel across a config axis, as a single farm job.
 
-        The worker runs :func:`repro.accel.batch.batched_sweep` — the
-        trace is compiled once and all configurations are evaluated over
-        it in a single config-vectorized pass.  The payload maps config
-        name to exactly the payload the matching ``Job.kernel`` would
-        produce (the ``batch`` check tier enforces this bit-for-bit).
-        Config names must be unique: they key the payload and the
-        per-config checkpoint/resume bookkeeping.
+        The worker runs each config in input order through the same
+        per-config path as ``Job.kernel`` (accel-on configs share one
+        decoded trace), checkpointing after every completed config.  The
+        payload maps config name to exactly the payload the matching
+        ``Job.kernel`` would produce (the ``batch`` check tier enforces
+        this bit-for-bit).  Config names must be unique: they key the
+        payload and the per-config checkpoint/resume bookkeeping.
         """
         configs = tuple(configs)
         if not configs:
@@ -294,6 +294,67 @@ def _run_kernel_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
             instrument.seal()
 
 
+def _kernel_system(cfg, kern, seed: int, scale: float, instrument=None):
+    """The trace, fresh system and stats registry of one kernel point.
+
+    With ``accel="on"`` the decoded trace is shared process-wide, so the
+    configs of a sweep (or repeated jobs in one worker) build it once.
+    """
+    from ..accel import memo
+    from ..soc.system import System
+    from ..telemetry import StatsRegistry
+
+    if getattr(cfg, "accel", "off") == "on":
+        trace = memo.shared_trace(
+            kern.spec.name, scale, seed,
+            lambda: kern.build(scale=scale, seed=seed))
+    else:
+        trace = kern.build(scale=scale, seed=seed)
+    system = System(cfg)
+    if instrument is not None:
+        system.attach_instrument(instrument)
+    return trace, system, StatsRegistry(system)
+
+
+def _kernel_point(cfg, kern, seed: int, scale: float, warmup: bool,
+                  memoize: bool, instrument=None) -> dict[str, Any]:
+    """One monolithic kernel run on a fresh system: memo lookup, warm-up,
+    measured pass, payload.  The per-config path of both ``Job.kernel``
+    and ``Job.sweep``."""
+    from ..accel import memo
+
+    trace, system, registry = _kernel_system(cfg, kern, seed, scale,
+                                             instrument)
+    do_warmup = bool(warmup and kern.needs_warmup)
+    mkey = None
+    # fresh-system serial runs are a pure function of (trace, config):
+    # memoize the whole payload (in-process workers and repeated sweep
+    # points skip the simulation entirely)
+    if (memoize and getattr(cfg, "accel", "off") == "on"
+            and memo.memo_enabled()):
+        mkey = memo.memo_key(trace, cfg, system.uncore,
+                             extra=("farm_kernel", do_warmup))
+        hit = memo.memo_get(mkey)
+        if hit is not None:
+            # the key is content-addressed (trace + config digests), so
+            # seed-invariant kernels collide across seeds: the simulation
+            # outputs transfer, the job-identity metadata does not —
+            # re-stamp it for *this* point
+            hit["workload"] = kern.spec.name
+            hit["seed"] = seed
+            hit["scale"] = scale
+            return hit
+    if do_warmup:
+        system.run(trace)
+    base = registry.snapshot()
+    result = system.run(trace)
+    payload = kernel_payload(cfg, kern, seed, scale, registry, base,
+                             result, system)
+    if mkey is not None:
+        memo.memo_put(mkey, payload)
+    return payload
+
+
 def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
                           instrument=None) -> dict[str, Any]:
     """Replicate :func:`repro.workloads.microbench.run_kernel` exactly
@@ -306,9 +367,7 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
     checkpoint every ``ctx.checkpoint_every`` quanta and a later attempt
     resumes from it bit-identically instead of restarting from zero.
     """
-    from ..accel import memo
-    from ..soc.system import System
-    from ..telemetry import StatsRegistry, Snapshot, cpi_stack
+    from ..telemetry import Snapshot
     from ..workloads.microbench import get_kernel
 
     kern = get_kernel(job.workload)
@@ -316,110 +375,75 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
         raise RuntimeError(f"kernel {kern.spec.name} is marked broken")
     cfg = job.config
     scale = max(float(job.param("scale", 1.0)), kern.min_harness_scale)
-    accel = getattr(cfg, "accel", "off") == "on"
-    if accel:
-        trace = memo.shared_trace(
-            job.workload, scale, job.seed,
-            lambda: kern.build(scale=scale, seed=job.seed))
-    else:
-        trace = kern.build(scale=scale, seed=job.seed)
-    system = System(cfg)
-    if instrument is not None:
-        system.attach_instrument(instrument)
-    registry = StatsRegistry(system)
     quantum = job.param("quantum")
-    mkey = None
-
     if quantum is None:
-        do_warmup = bool(job.param("warmup", True) and kern.needs_warmup)
-        # fresh-system serial runs are a pure function of (trace, config):
-        # memoize the whole payload (in-process workers and repeated
-        # sweep points skip the simulation entirely) — unless the
-        # operator asked for a stream, which only a real run can produce
-        if (accel and job.cacheable and ctx.fault is None
-                and instrument is None and memo.memo_enabled()):
-            mkey = memo.memo_key(trace, cfg, system.uncore,
-                                 extra=("farm_kernel", do_warmup))
-            hit = memo.memo_get(mkey)
-            if hit is not None:
-                # the key is content-addressed (trace + config digests),
-                # so seed-invariant kernels collide across seeds: the
-                # simulation outputs transfer, the job-identity metadata
-                # does not — re-stamp it for *this* job
-                hit["workload"] = kern.spec.name
-                hit["seed"] = job.seed
-                hit["scale"] = scale
-                return hit
-        if do_warmup:
+        # no memo when the operator asked for a stream, which only a
+        # real run can produce, or injected a fault into the run
+        return _kernel_point(
+            cfg, kern, job.seed, scale, bool(job.param("warmup", True)),
+            memoize=(job.cacheable and ctx.fault is None
+                     and instrument is None),
+            instrument=instrument)
+
+    trace, system, registry = _kernel_system(cfg, kern, job.seed, scale,
+                                             instrument)
+    quantum = int(quantum)
+    chunk = int(job.param("chunk", max(1, quantum // 2)))
+    ckpt_file = _checkpoint_file(job, ctx)
+    run = base = None
+    if ckpt_file is not None and ckpt_file.exists():
+        from ..reliability.checkpoint import CheckpointError, SimCheckpoint
+        try:
+            ckpt = SimCheckpoint.load(ckpt_file)
+            run = system.restore(ckpt, [trace])
+            base = Snapshot(ckpt.extras["baseline"])
+            ctx.meta["resumed"] = True
+        except (CheckpointError, KeyError):
+            run = base = None  # unusable checkpoint: start over
+    if run is None:
+        if job.param("warmup", True) and kern.needs_warmup:
             system.run(trace)
         base = registry.snapshot()
-        result = system.run(trace)
-    else:
-        quantum = int(quantum)
-        chunk = int(job.param("chunk", max(1, quantum // 2)))
-        ckpt_file = _checkpoint_file(job, ctx)
-        run = base = None
-        if ckpt_file is not None and ckpt_file.exists():
-            from ..reliability.checkpoint import CheckpointError, SimCheckpoint
-            try:
-                ckpt = SimCheckpoint.load(ckpt_file)
-                run = system.restore(ckpt, [trace])
-                base = Snapshot(ckpt.extras["baseline"])
-                ctx.meta["resumed"] = True
-            except (CheckpointError, KeyError):
-                run = base = None  # unusable checkpoint: start over
-        if run is None:
-            if job.param("warmup", True) and kern.needs_warmup:
-                system.run(trace)
-            base = registry.snapshot()
-            run = system.start_parallel([trace], quantum=quantum, chunk=chunk)
-        fault = ctx.fault
-        kill_after = (int(fault.param("after"))
-                      if (fault is not None and fault.kind == "kill"
-                          and fault.param("after") is not None) else None)
-        while True:
-            alive = run.step()
-            if (ckpt_file is not None and run.quanta > 0
-                    and run.quanta % ctx.checkpoint_every == 0):
-                run.checkpoint(extras={"baseline": base.data}).save(ckpt_file)
-                ctx.meta["checkpoints"] = ctx.meta.get("checkpoints", 0) + 1
-            if kill_after is not None and run.quanta >= kill_after:
-                from ..reliability.faults import apply_worker_fault
-                apply_worker_fault(fault, in_process=ctx.in_process)
-            if not alive:
-                break
-        result = run.results()[0]
-        if ckpt_file is not None:
-            try:
-                ckpt_file.unlink()
-            except OSError:
-                pass
+        run = system.start_parallel([trace], quantum=quantum, chunk=chunk)
+    fault = ctx.fault
+    kill_after = (int(fault.param("after"))
+                  if (fault is not None and fault.kind == "kill"
+                      and fault.param("after") is not None) else None)
+    while True:
+        alive = run.step()
+        if (ckpt_file is not None and run.quanta > 0
+                and run.quanta % ctx.checkpoint_every == 0):
+            run.checkpoint(extras={"baseline": base.data}).save(ckpt_file)
+            ctx.meta["checkpoints"] = ctx.meta.get("checkpoints", 0) + 1
+        if kill_after is not None and run.quanta >= kill_after:
+            from ..reliability.faults import apply_worker_fault
+            apply_worker_fault(fault, in_process=ctx.in_process)
+        if not alive:
+            break
+    result = run.results()[0]
+    if ckpt_file is not None:
+        try:
+            ckpt_file.unlink()
+        except OSError:
+            pass
 
-    payload = kernel_payload(cfg, kern, job.seed, scale, registry, base,
-                             result, system, quantum=quantum)
-    if mkey is not None:
-        memo.memo_put(mkey, payload)
-    return payload
+    return kernel_payload(cfg, kern, job.seed, scale, registry, base,
+                          result, system, quantum=quantum)
 
 
 def kernel_payload(cfg, kern, seed: int, scale: float, registry, base,
                    result, system, quantum: int | None = None) -> dict[str, Any]:
-    """Assemble one kernel run's payload from its measured pass.
-
-    The single payload constructor shared by the serial job runner and
-    the batched sweep driver (:func:`repro.accel.batch.batched_sweep`) —
-    sharing the code is part of what keeps batched sweep points
-    bit-identical to serial ones.
-    """
+    """Assemble one kernel run's payload from its measured pass (the
+    single payload constructor of every kernel and sweep point)."""
     from ..telemetry import cpi_stack
 
     delta = registry.delta(base)
     # accel counters are implementation provenance, not simulation
     # output: the process-wide ones (memo/trace-cache hits) depend on
-    # run history, and the per-tile coverage ones on which execution
+    # run history, and the per-tile uop counts on which execution
     # path ran.  A payload must stay a pure function of the job — and
-    # identical whether a config ran the reference models, the solo
-    # engines, or the batched sweep driver — so strip them all
+    # identical whether a config ran the reference models or the
+    # engines — so strip them all
     delta.data.pop("accel", None)
     for tile_rec in delta.data.get("tiles", []):
         tile_rec.pop("accel", None)
@@ -452,19 +476,18 @@ _SWEEP_CKPT_SCHEMA = 1
 
 
 def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
-    """Run one config-batched sweep, checkpointing per completed config.
+    """Run one kernel over every config, checkpointing per completed config.
 
     The checkpoint is a JSON file of finished per-config payloads keyed
-    by the job's cache key; a retried attempt loads it, skips the
-    completed configs, and batches only the remainder — bit-identically,
-    because each config's simulation is independent (fresh system per
-    config) and payloads are pure JSON trees.  A ``kill`` fault with an
-    ``after=N`` parameter fires once N configs have completed, modelling
-    a worker crash mid-sweep.
+    by the job's cache key; a retried attempt loads it and runs only the
+    configs it lacks — bit-identically, because each config's simulation
+    is independent (fresh system per config) and payloads are pure JSON
+    trees.  A ``kill`` fault with an ``after=N`` parameter fires once N
+    configs have completed, modelling a worker crash mid-sweep.
     """
     import json
 
-    from ..accel.batch import batched_sweep
+    from ..workloads.microbench import get_kernel
     from .cache import cache_key
 
     configs = job.param("configs")
@@ -481,15 +504,21 @@ def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
         except (OSError, ValueError, KeyError):
             done = {}  # unusable checkpoint: start over
 
+    kern = get_kernel(job.workload)
+    if kern.spec.broken:
+        raise RuntimeError(f"kernel {kern.spec.name} is marked broken")
+    scale = max(float(job.param("scale", 1.0)), kern.min_harness_scale)
+    warmup = bool(job.param("warmup", True))
     fault = ctx.fault
     kill_after = (int(fault.param("after"))
                   if (fault is not None and fault.kind == "kill"
                       and fault.param("after") is not None) else None)
     completed = 0
-
-    def on_point(name: str, payload: dict[str, Any]) -> None:
-        nonlocal completed
-        done[name] = payload
+    for cfg in configs:
+        if cfg.name in done:
+            continue
+        done[cfg.name] = _kernel_point(cfg, kern, job.seed, scale, warmup,
+                                       memoize=True)
         completed += 1
         if ckpt_file is not None and completed % ctx.checkpoint_every == 0:
             blob = json.dumps({"schema": _SWEEP_CKPT_SCHEMA, "key": key,
@@ -502,14 +531,6 @@ def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
             from ..reliability.faults import apply_worker_fault
             apply_worker_fault(fault, in_process=ctx.in_process)
 
-    # on_point fills `done` as configs complete; merging the returned
-    # points too keeps the payload whole even if a future engine path
-    # stops routing every completion through the callback.
-    done.update(batched_sweep(configs, job.workload,
-                              scale=float(job.param("scale", 1.0)),
-                              seed=job.seed,
-                              warmup=bool(job.param("warmup", True)),
-                              on_point=on_point, skip=tuple(done)))
     if ckpt_file is not None:
         try:
             ckpt_file.unlink()

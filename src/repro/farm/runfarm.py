@@ -139,6 +139,10 @@ def _worker_main(conn, job: Job, attempt: int,
                  ctx: ExecContext | None = None) -> None:
     """Child entry point: run one job, report ("ok", payload, meta) or
     ("error", message) over the pipe, exit."""
+    # a forked worker inherits the farm's SIGTERM -> KeyboardInterrupt
+    # handler: restore the default so a reaped or externally killed
+    # worker dies by the signal (a crash) instead of reporting an error
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload, meta = execute_job_meta(job, attempt=attempt, ctx=ctx)
         conn.send(("ok", payload, meta))

@@ -196,16 +196,14 @@ class StatsRegistry:
             data["watchdog"] = _dump(watchdog.stats)
         # acceleration counters, only when the config opts in.  The memo
         # keys are process-wide, reported relative to this registry's
-        # construction-time baseline; the uop coverage keys are summed
-        # from the tiles (per-run state, carried through checkpoints) so
-        # a resumed run's snapshot stays bit-identical to an
+        # construction-time baseline; the uop key is summed from the
+        # tiles (per-run state, carried through checkpoints) so a
+        # resumed run's snapshot stays bit-identical to an
         # uninterrupted one
         if self._accel_base is not None:
             from ..accel.stats import global_stats
             now = _dump(global_stats())
             acc = {k: v - self._accel_base.get(k, 0) for k, v in now.items()}
-            acc["fastpath_uops"] = sum(
-                t["accel"]["fastpath_uops"] for t in tiles if "accel" in t)
             acc["fallback_uops"] = sum(
                 t["accel"]["fallback_uops"] for t in tiles if "accel" in t)
             data["accel"] = acc

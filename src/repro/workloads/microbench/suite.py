@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...accel import memo
-from ...accel.fastpath import span_diagnostics
 from ...core.base import CoreResult
 from ...soc.config import SoCConfig
 from ...soc.system import System
@@ -88,10 +87,6 @@ class KernelRun:
     config: str
     result: CoreResult
     core_ghz: float
-    #: span-solver engagement for the measured pass, or None when the
-    #: run came from the memo (no engine ran) or accel was off:
-    #: ``{"engine": per-core counter deltas, "static": span_diagnostics}``
-    accel: dict | None = None
 
     @property
     def cycles(self) -> int:
@@ -145,31 +140,10 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
             return KernelRun(name, config.name, hit, config.core_ghz)
     if do_warmup:
         system.run(trace)
-    before = _accel_engine_totals(system) if accel else None
     result = system.run(trace)
     if key is not None:
         memo.memo_put(key, result)
-    accel_info = None
-    if accel:
-        after = _accel_engine_totals(system)
-        accel_info = {
-            "engine": {k: after[k] - before.get(k, 0) for k in after},
-            "static": span_diagnostics(trace.op),
-        }
-    return KernelRun(name, config.name, result, config.core_ghz, accel_info)
-
-
-def _accel_engine_totals(system: System) -> dict[str, int]:
-    """Sum the integer AccelStats counters across a system's cores."""
-    totals: dict[str, int] = {}
-    for tile in system.tiles:
-        astats = getattr(tile.core, "accel_stats", None)
-        if astats is None or not getattr(tile.core, "_accel_on", False):
-            continue
-        for k, v in vars(astats).items():
-            if isinstance(v, int):
-                totals[k] = totals.get(k, 0) + v
-    return totals
+    return KernelRun(name, config.name, result, config.core_ghz)
 
 
 def run_suite(config: SoCConfig, scale: float = 1.0, seed: int = 0,

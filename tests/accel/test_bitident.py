@@ -12,6 +12,8 @@ import pytest
 
 from repro.accel import memo
 from repro.accel.stats import reset_global_stats
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import TraceBuilder
 from repro.soc.presets import ALL_CONFIGS, get_config
 from repro.soc.system import System
 from repro.telemetry import BUCKETS, StatsRegistry, cpi_stack
@@ -76,6 +78,31 @@ def test_lammps_step_bit_identical(name):
     assert a.verified and b.verified
     assert a.cycles == b.cycles
     assert _canon(a) == _canon(b)
+
+
+def _generic_exec_trace():
+    """Long runs of generic exec work: 40 reps of 48 dependent ALU ops,
+    a load, 40 FMAs and a branch — far longer straight-line stretches
+    than the microbench loop bodies."""
+    b = TraceBuilder()
+    for rep in range(40):
+        for i in range(48):
+            b.alu(dst=1 + i % 8, src1=1 + (i + 3) % 8, src2=1 + (i + 5) % 8)
+        b.load(dst=9, addr=0x2_0000 + 64 * rep)
+        for i in range(40):
+            b.fp(OpClass.FP_FMA, dst=12 + i % 4, src1=9, src2=12 + (i + 1) % 4)
+        b.branch(taken=rep % 7 == 0)
+    return b.build()
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_generic_exec_trace_bit_identical(name):
+    trace = _generic_exec_trace()
+    off, on = _pair(get_config(name))
+    ref = System(off).run(trace)
+    memo.clear_caches()
+    got = System(on).run(trace)
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref)
 
 
 @pytest.mark.parametrize("name", ["Rocket1", "BananaPi-K1", "MILKVSim"])

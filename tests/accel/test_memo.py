@@ -6,7 +6,8 @@ import pytest
 
 from repro.accel import memo
 from repro.accel.stats import global_stats, reset_global_stats
-from repro.soc.presets import ROCKET1, ROCKET2
+from repro.soc.presets import MEDIUM_BOOM, ROCKET1, ROCKET2
+from repro.soc.system import System
 from repro.workloads.microbench import get_kernel, run_kernel
 
 
@@ -16,6 +17,18 @@ def _cold():
     reset_global_stats()
     yield
     memo.clear_caches()
+
+
+# ------------------------------------------------------- decoded traces
+
+def test_engines_share_one_decoded_trace_cache():
+    """The in-order and OoO engines decode a trace once, into
+    memo.trace_arrays, and never hash it (digests are for memo keys)."""
+    trace = get_kernel("MM").build(scale=0.05)
+    System(ROCKET1.with_(accel="on")).run(trace)
+    System(MEDIUM_BOOM.with_(accel="on")).run(trace)
+    assert list(memo._arrays) == [id(trace)]
+    assert not memo._digests
 
 
 # ------------------------------------------------------------ digests

@@ -1,6 +1,11 @@
 """RunFarm scheduler tests: determinism, caching, fault tolerance."""
 
 import json
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +164,55 @@ def test_strict_run_jobs_raises_with_every_failure_listed():
     jobs = [Job.selftest("raise"), Job.selftest("ok")]
     with pytest.raises(RuntimeError, match="1/2.*raise@"):
         run_jobs(jobs, workers=1, max_retries=0, backoff_s=0.0, strict=True)
+
+
+# -- worker signals ----------------------------------------------------------
+
+
+def _wait_sigterm_default(pid, timeout_s=5.0):
+    """Wait until *pid* no longer catches SIGTERM (its SigCgt bit clears)."""
+    status = Path(f"/proc/{pid}/status")
+    if not status.exists():
+        time.sleep(1.0)
+        return
+    bit = 1 << (signal.SIGTERM - 1)
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        for line in status.read_text().splitlines():
+            if line.startswith("SigCgt:") and not int(line.split()[1], 16) & bit:
+                return
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork to inherit the parent's handler")
+def test_sigterm_kills_worker_outright_without_traceback(capfd):
+    """A forked worker must not keep the farm's SIGTERM ->
+    KeyboardInterrupt handler: SIGTERM kills it (a crash, not a job
+    error) and prints no traceback."""
+    from repro.farm.job import ExecContext
+    from repro.farm.runfarm import _worker_main
+    from repro.reliability.faults import Fault
+
+    mp = multiprocessing.get_context("fork")
+    restore = RunFarm(workers=2)._install_sigterm()
+    try:
+        recv, send = mp.Pipe(duplex=False)
+        ctx = ExecContext(fault=Fault("hang", (("sleep", 30.0),)))
+        proc = mp.Process(target=_worker_main,
+                          args=(send, Job.selftest("ok"), 1, ctx),
+                          daemon=True)
+        proc.start()
+        send.close()
+        _wait_sigterm_default(proc.pid)
+        os.kill(proc.pid, signal.SIGTERM)
+        proc.join(10)
+    finally:
+        restore()
+    assert proc.exitcode == -signal.SIGTERM
+    with pytest.raises(EOFError):  # died without an ("error", ...) report
+        recv.recv()
+    assert "KeyboardInterrupt" not in capfd.readouterr().err
 
 
 # -- progress events ---------------------------------------------------------

@@ -1,7 +1,7 @@
-"""`Job.sweep`: the farm's config-batched sweep kind — labels, cache
-descriptions, and crash-safe checkpoint/resume of a half-finished
-sweep (resumed results must match a straight-through run bit for
-bit)."""
+"""`Job.sweep`: one kernel across a config axis as one farm job —
+labels, cache descriptions, payloads equal to per-config jobs, and
+crash-safe checkpoint/resume of a half-finished sweep (resumed results
+must match a straight-through run bit for bit)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from repro.accel import memo
 from repro.farm.job import ExecContext, Job, execute_job, execute_job_meta
 from repro.reliability.faults import Fault, FaultInjected
-from repro.soc.presets import get_config
+from repro.soc.presets import ALL_CONFIGS, get_config
 
 CFGS = [get_config("Rocket1"), get_config("Rocket2"),
         get_config("BananaPiSim")]
@@ -61,6 +61,34 @@ def test_sweep_payload_matches_kernel_jobs():
     assert payload["points"] == serial
 
 
+def test_sweep_matches_kernel_jobs_all_configs():
+    """One sweep over every named config == one Job.kernel per config,
+    payload for payload (the `batch` oracle's core claim)."""
+    cfgs = [get_config(n) for n in sorted(ALL_CONFIGS)]
+    serial = {cfg.name: execute_job(Job.kernel(cfg, "MM", scale=0.05))
+              for cfg in cfgs}
+    memo.clear_caches()
+    payload = execute_job(Job.sweep(cfgs, "MM", scale=0.05))
+    assert payload["points"] == serial
+
+
+def test_sweep_mixed_configs_match_reference_in_input_order():
+    """Accel-on and accel-off, in-order and out-of-order configs in one
+    sweep: every point equals the reference-model (accel="off") kernel
+    job, and points come back in the caller's order."""
+    cfgs = [get_config("MediumBOOM"),
+            get_config("Rocket1").with_(accel="off"),
+            get_config("LargeBOOM").with_(accel="off"),
+            get_config("Rocket2")]
+    ref = {cfg.name: execute_job(Job.kernel(cfg.with_(accel="off"), "EI",
+                                            scale=0.05))
+           for cfg in cfgs}
+    memo.clear_caches()
+    payload = execute_job(Job.sweep(cfgs, "EI", scale=0.05))
+    assert list(payload["points"]) == [cfg.name for cfg in cfgs]
+    assert payload["points"] == ref
+
+
 def test_sweep_repeats_with_warm_memo():
     """A second execution of the same sweep is served from the memo —
     every point must still reach the payload (memo hits fire on_point
@@ -95,3 +123,29 @@ def test_sweep_checkpoint_kill_resume_bit_identical(tmp_path):
     assert meta["resumed"] is True
     assert payload == straight
     assert not list(tmp_path.iterdir())  # checkpoint removed on success
+
+
+def test_sweep_resume_runs_only_missing_configs(tmp_path):
+    """A resumed sweep takes checkpointed points as they are and
+    simulates only the configs the checkpoint lacks."""
+    job = Job.sweep(CFGS, "EI", scale=0.05)
+    straight = execute_job(job)
+
+    memo.clear_caches()
+    ctx = ExecContext(fault=Fault("kill", (("after", 1),)),
+                      checkpoint_dir=tmp_path, checkpoint_every=1)
+    with pytest.raises(FaultInjected):
+        execute_job(job, ctx=ctx)
+    (ckpt,) = tmp_path.iterdir()
+    saved = json.loads(ckpt.read_text())
+    (first,) = saved["points"]
+    saved["points"][first]["cycles"] = -1  # marker: must survive resume
+    ckpt.write_text(json.dumps(saved))
+
+    memo.clear_caches()
+    payload = execute_job(job, attempt=2, ctx=ExecContext(
+        checkpoint_dir=tmp_path, checkpoint_every=1))
+    assert payload["points"][first]["cycles"] == -1
+    for cfg in CFGS:
+        if cfg.name != first:
+            assert payload["points"][cfg.name] == straight["points"][cfg.name]
