@@ -419,23 +419,30 @@ def _fast_tlb(tlb, walker):
 
 
 def _mirror_direction(d):
-    """Mirror of a direction predictor; returns (predict, update, detach)."""
+    """Mirror of a direction predictor; returns (step, detach).
+
+    ``step(pc, taken)`` returns the prediction the reference ``predict``
+    would make and then applies the reference ``update`` — one call per
+    conditional branch.
+    """
     if type(d) is BimodalBHT:
         ctr = d._ctr.tolist()
         mask = d.entries - 1
 
-        def predict(pc):
-            return ctr[(pc >> 2) & mask] >= 2
-
-        def update(pc, taken):
+        def step(pc, taken):
             i = (pc >> 2) & mask
-            c = ctr[i] + (1 if taken else -1)
-            ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+            elif c > 0:
+                ctr[i] = c - 1
+            return c >= 2
 
         def detach():
             d._ctr[:] = ctr
 
-        return predict, update, detach
+        return step, detach
 
     if type(d) is GShare:
         ctr = d._ctr.tolist()
@@ -443,103 +450,144 @@ def _mirror_direction(d):
         hmask = (1 << d.hist_bits) - 1
         hist = d._hist
 
-        def predict(pc):
-            return ctr[((pc >> 2) ^ hist) & mask] >= 2
-
-        def update(pc, taken):
+        def step(pc, taken):
             nonlocal hist
             i = ((pc >> 2) ^ hist) & mask
-            c = ctr[i] + (1 if taken else -1)
-            ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+            elif c > 0:
+                ctr[i] = c - 1
             hist = ((hist << 1) | (1 if taken else 0)) & hmask
+            return c >= 2
 
         def detach():
             d._ctr[:] = ctr
             d._hist = hist
 
-        return predict, update, detach
+        return step, detach
 
-    if type(d) is TAGE:
-        nt = d.num_tables
-        size = d.size
-        tag_bits = d.tag_bits
-        nbits = size.bit_length() - 1
-        hist_len = d.hist_len
-        ctrs = [a.tolist() for a in d._ctr]
-        tags = [a.tolist() for a in d._tag]
-        useful = [a.tolist() for a in d._useful]
-        hist = d._hist
-        base_ctr = d.base._ctr.tolist()
-        base_mask = d.base.entries - 1
+    if type(d) is TAGE and min(d.hist_len) > 0:  # a 0-length table has no CSR
+        return _mirror_tage(d)
 
-        def fold(bits, out_bits):
-            h = hist & ((1 << bits) - 1)
-            folded = 0
-            omask = (1 << out_bits) - 1
-            while h:
-                folded ^= h & omask
-                h >>= out_bits
-            return folded
+    def step(pc, taken):
+        pred = d.predict(pc)
+        d.update(pc, taken)
+        return pred
 
-        def t_index(pc, t):
-            return ((pc >> 2) ^ fold(hist_len[t], nbits)) % size
+    return step, None
 
-        def t_tag(pc, t):
-            return ((pc >> 2) ^ fold(hist_len[t], tag_bits)
-                    ^ (fold(hist_len[t], tag_bits - 1) << 1)) & (
-                (1 << tag_bits) - 1)
 
-        def predict_full(pc):
-            for t in range(nt - 1, -1, -1):
-                i = t_index(pc, t)
-                if tags[t][i] == t_tag(pc, t):
-                    return ctrs[t][i] >= 0, t, i
-            return base_ctr[(pc >> 2) & base_mask] >= 2, -1, 0
+def _mirror_tage(d):
+    """TAGE mirror over circular-shift-register folded histories.
 
-        def predict(pc):
-            return predict_full(pc)[0]
+    ``TAGE._fold`` XOR-folds the last ``hist_len[t]`` outcomes into a
+    ``width``-bit value on every lookup.  Here each table keeps its three
+    folds (index at ``nbits``, tag at ``tag_bits``, tag-1 at
+    ``tag_bits - 1``) as registers seeded from ``d._hist`` at attach and
+    updated in O(1) per history shift (Seznec & Michaud, JILP 2006): rotate
+    in the new outcome, XOR out the one leaving the window.  ``_hist`` is a
+    64-bit register, so the window is ``min(hist_len[t], 64)``.
 
-        def update(pc, taken):
-            nonlocal hist
-            pred, prov, idx = predict_full(pc)
-            mis = pred != taken
-            if prov >= 0:
-                c = ctrs[prov][idx] + (1 if taken else -1)
-                ctrs[prov][idx] = 3 if c > 3 else (-4 if c < -4 else c)
-                u = useful[prov][idx] + (0 if mis else 1)
-                u -= 1 if mis else 0
-                useful[prov][idx] = 3 if u > 3 else (0 if u < 0 else u)
+    ``step`` makes one provider lookup per branch: it predicts from the
+    provider and updates it in place, and allocation and usefulness decay
+    index with the same registers.
+    """
+    nt = d.num_tables
+    imask = d.size - 1
+    nbits = imask.bit_length()
+    tag_bits = d.tag_bits
+    tmask = (1 << tag_bits) - 1
+    t1bits = tag_bits - 1
+    t1mask = tmask >> 1
+    ctrs = [a.tolist() for a in d._ctr]
+    tags = [a.tolist() for a in d._tag]
+    useful = [a.tolist() for a in d._useful]
+    base_ctr = d.base._ctr.tolist()
+    base_mask = d.base.entries - 1
+    hist = d._hist
+    win = [min(h, 64) for h in d.hist_len]
+    fidx = [d._fold(L, nbits) for L in win]
+    ftag = [d._fold(L, tag_bits) for L in win]
+    ftag1 = [d._fold(L, t1bits) for L in win]
+    # per table: (t, history bit leaving the window, where it sits in each fold)
+    shifts = [(t, L - 1, 1 << (L % nbits), 1 << (L % tag_bits),
+               1 << (L % t1bits)) for t, L in enumerate(win)]
+    scan = range(nt - 1, -1, -1)
+
+    def step(pc, taken):
+        nonlocal hist
+        p = pc >> 2
+        for t in scan:
+            i = (p ^ fidx[t]) & imask
+            if tags[t][i] == (p ^ ftag[t] ^ (ftag1[t] << 1)) & tmask:
+                prov = t
+                ct = ctrs[t]
+                c = ct[i]
+                pred = c >= 0
+                if taken:
+                    if c < 3:
+                        ct[i] = c + 1
+                elif c > -4:
+                    ct[i] = c - 1
+                ut = useful[t]
+                u = ut[i]
+                if pred == taken:
+                    if u < 3:
+                        ut[i] = u + 1
+                elif u > 0:
+                    ut[i] = u - 1
+                break
+        else:
+            prov = -1
+            i = p & base_mask
+            c = base_ctr[i]
+            pred = c >= 2
+            if taken:
+                if c < 3:
+                    base_ctr[i] = c + 1
+            elif c > 0:
+                base_ctr[i] = c - 1
+        if pred != taken and prov < nt - 1:
+            for t in range(prov + 1, nt):
+                i = (p ^ fidx[t]) & imask
+                if useful[t][i] == 0:
+                    tags[t][i] = (p ^ ftag[t] ^ (ftag1[t] << 1)) & tmask
+                    ctrs[t][i] = 0 if taken else -1
+                    break
             else:
-                i = (pc >> 2) & base_mask
-                c = base_ctr[i] + (1 if taken else -1)
-                base_ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
-            if mis and prov < nt - 1:
-                allocated = False
                 for t in range(prov + 1, nt):
-                    i = t_index(pc, t)
-                    if useful[t][i] == 0:
-                        tags[t][i] = t_tag(pc, t)
-                        ctrs[t][i] = 0 if taken else -1
-                        allocated = True
-                        break
-                if not allocated:
-                    for t in range(prov + 1, nt):
-                        i = t_index(pc, t)
-                        u = useful[t][i] - 1
-                        useful[t][i] = u if u > 0 else 0
-            hist = ((hist << 1) | (1 if taken else 0)) & ((1 << 64) - 1)
+                    ut = useful[t]
+                    i = (p ^ fidx[t]) & imask
+                    if ut[i] > 0:
+                        ut[i] -= 1
+        b = 1 if taken else 0
+        for t, hb, oi, ot, ot1 in shifts:
+            fi = (fidx[t] << 1) | b
+            ft = (ftag[t] << 1) | b
+            ft1 = (ftag1[t] << 1) | b
+            if (hist >> hb) & 1:
+                fi ^= oi
+                ft ^= ot
+                ft1 ^= ot1
+            fidx[t] = (fi ^ (fi >> nbits)) & imask
+            ftag[t] = (ft ^ (ft >> tag_bits)) & tmask
+            ftag1[t] = (ft1 ^ (ft1 >> t1bits)) & t1mask
+        hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
+        return pred
 
-        def detach():
-            for t in range(nt):
-                d._ctr[t][:] = ctrs[t]
-                d._tag[t][:] = tags[t]
-                d._useful[t][:] = useful[t]
-            d._hist = hist
-            d.base._ctr[:] = base_ctr
+    def detach():
+        for t in range(nt):
+            d._ctr[t][:] = ctrs[t]
+            d._tag[t][:] = tags[t]
+            d._useful[t][:] = useful[t]
+        d._hist = hist
+        d.base._ctr[:] = base_ctr
 
-        return predict, update, detach
-
-    return d.predict, d.update, None
+    # the live registers, per table, for checking them against TAGE._fold
+    step.folds = (fidx, ftag, ftag1)
+    return step, detach
 
 
 def _mirror_branch_unit(bru):
@@ -547,7 +595,7 @@ def _mirror_branch_unit(bru):
     if type(bru) is not BranchUnit or type(bru.btb) is not BTB:
         return bru.resolve, None
     bst = bru.stats
-    predict, update, dir_detach = _mirror_direction(bru.direction)
+    step, dir_detach = _mirror_direction(bru.direction)
     btb = bru.btb
     nsets = btb.sets
     tag_m = btb._tag.tolist()
@@ -587,9 +635,7 @@ def _mirror_branch_unit(bru):
     def resolve(op, pc, taken, target):
         bst.branches += 1
         if op == 6:  # BRANCH
-            pred = predict(pc)
-            update(pc, taken)
-            if pred != taken:
+            if step(pc, taken) != taken:
                 bst.mispredicts += 1
                 if taken:
                     insert(pc, target)

@@ -136,6 +136,9 @@ class TAGE:
     A functional implementation of the TAGE scheme (Seznec): provider =
     longest-history tagged hit; alternate prediction on low-confidence new
     entries; usefulness counters steer allocation on mispredicts.
+
+    The global history ``_hist`` is a 64-bit register, so a table whose
+    ``hist_len`` is above 64 folds the last 64 outcomes only.
     """
 
     def __init__(

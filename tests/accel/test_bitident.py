@@ -125,12 +125,14 @@ def test_cpi_stack_exact_sum_and_identical(name):
     assert stacks["on"].to_dict() == stacks["off"].to_dict()
 
 
-def test_checkpoint_restore_mid_run_with_accel():
+@pytest.mark.parametrize("name", ["Rocket1", "MILKVSim", "LargeBOOM"])
+def test_checkpoint_restore_mid_run_with_accel(name):
     """Interrupt an accelerated lockstep run mid-flight, checkpoint,
     restore into a fresh accelerated system, and finish: the result must
-    match the uninterrupted reference (accel=off) run bit for bit."""
-    cfg_on = get_config("Rocket1").with_(accel="on")
-    cfg_off = get_config("Rocket1").with_(accel="off")
+    match the uninterrupted reference (accel=off) run bit for bit.  On the
+    TAGE configs the restored mirror re-seeds its folded histories."""
+    cfg_on = get_config(name).with_(accel="on")
+    cfg_off = get_config(name).with_(accel="off")
     trace = get_kernel("MM").build(scale=0.05)
 
     ref = System(cfg_off).run_parallel([trace], quantum=512, chunk=256)[0]
