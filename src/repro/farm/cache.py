@@ -30,10 +30,29 @@ from typing import Any
 from .. import __version__
 from .job import Job
 
-__all__ = ["CACHE_SCHEMA", "ResultCache", "cache_key"]
+__all__ = ["CACHE_SCHEMA", "ResultCache", "cache_key", "write_json_atomic"]
 
 #: bump when the payload layout changes shape (invalidates every entry)
 CACHE_SCHEMA = 1
+
+
+def write_json_atomic(path: str | os.PathLike, doc: Any,
+                      **dump_kw: Any) -> None:
+    """Write *doc* as JSON to *path* via a sibling tempfile and
+    ``os.replace``; the tempfile is unlinked if anything fails."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            json.dump(doc, f, **dump_kw)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def cache_key(job: Job) -> str:
@@ -122,19 +141,8 @@ class ResultCache:
             "job": job.describe(),
             "payload": payload,
         }
-        target = self.path(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(entry, f, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self.path(key), entry, sort_keys=True,
+                          separators=(",", ":"))
 
     def sweep_orphans(self, max_age_s: float = 3600.0) -> int:
         """Delete ``*.tmp`` files left behind by hard-killed writers.

@@ -1,10 +1,8 @@
 """Shared retry schedule for the batch farm and the serve layer.
 
-Both the :class:`~repro.farm.runfarm.RunFarm` relaunch path and the
-:class:`~repro.serve.server.FarmServer` re-queue path used to hard-code
-``min(backoff_s * attempt, 2.0)``.  That linear ramp is now one small
-policy object so the two layers cannot drift and operators can tune the
-schedule (``--backoff`` base, growth factor, cap) in one place.
+The :class:`~repro.farm.executor.Executor` both drive delays every
+relaunch by one policy object, so operators tune the schedule
+(``--backoff`` base, growth factor, cap) in one place.
 
 The default is exponential: attempt *n* waits ``base_s * factor**(n-1)``
 seconds, capped at ``cap_s``.  ``factor=1.0`` recovers a flat delay and

@@ -1,18 +1,18 @@
 """Run-farm scheduler: shard independent jobs across worker processes.
 
 Modeled on FireSim's manager (``deploy/runtools``), which farms one
-simulation per FPGA host and babysits the fleet: here each "host" is a
-``multiprocessing`` worker process running exactly one :class:`Job`.
-One process per job (rather than a long-lived pool) is what makes the
-fault model simple — a crashed, raising, or hung worker is terminated
-and retried with backoff without poisoning any shared executor state,
-and a per-job timeout is just ``Process.terminate``.
-
-Host-slot inventory is delegated to a pluggable
-:class:`~repro.farm.deploy.DeployManager` (the FireSim manager/run-farm
-split): the scheduler acquires a slot before launching a worker and
-releases it at reap, so the local pool and an externally provisioned
-host fleet run through one code path and produce bit-identical results.
+simulation per FPGA host and babysits the fleet: here each "host" slot
+runs one :class:`Job` in its own worker process.  :class:`RunFarm` is
+the synchronous, journal-less scheduler on the shared
+:class:`~repro.farm.executor.Executor` (the serve layer is the other):
+it acquires a slot from the pluggable
+:class:`~repro.farm.deploy.DeployManager`, launches an attempt there,
+and blocks in :func:`multiprocessing.connection.wait` on the attempts'
+result pipes until one reports or closes, the nearest per-job deadline
+passes, or a retry falls due.  Launch, reap, timeouts and the failure
+policy (which failures are charged to a job and which earn a host
+credit) live in the executor, so a job fails the same way here and
+under ``repro serve``.
 
 Determinism contract: the merged result list is ordered by submission
 index and every payload comes from :func:`repro.farm.job.execute_job`,
@@ -22,27 +22,25 @@ on :class:`~repro.farm.job.JobResult` next to the payload, never inside
 it.
 
 Graceful degradation: ``workers=1`` (or an unavailable multiprocessing
-stack) runs everything in-process through the same code path, minus
-preemptive timeouts.
+stack) runs everything in-process through the same executor calls,
+minus preemptive timeouts: in-process attempts never crash or time out.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import multiprocessing
 import os
-import pathlib
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from multiprocessing import connection
+from typing import Callable, Iterable, Sequence
 
 from ..telemetry import Snapshot
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_key, write_json_atomic
 from .deploy import DeployManager, resolve_deploy
-from .job import ExecContext, Job, JobResult, execute_job_meta
+from .executor import Attempt, Executor, Ledger
+from .job import Job, JobResult
 from .retry import RetryPolicy
 
 __all__ = [
@@ -57,6 +55,10 @@ __all__ = [
 
 #: schema of the farm-stats telemetry snapshot
 FARM_SCHEMA = 1
+
+#: FarmStats counter bumped per failed attempt, by outcome status
+_FAILURE_COUNTERS = {"error": "errors", "crash": "crashes",
+                     "timeout": "timeouts"}
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -91,7 +93,7 @@ class FarmStats:
     simulated: int = 0      #: attempts that ran a simulation to completion
     cache_hits: int = 0
     cache_misses: int = 0
-    retries: int = 0
+    retries: int = 0        #: relaunches, credited or charged
     errors: int = 0         #: attempts that raised in the workload
     timeouts: int = 0       #: attempts killed by the per-job timeout
     crashes: int = 0        #: workers that died without reporting
@@ -120,44 +122,6 @@ class FarmEvent:
     elapsed_s: float = 0.0
 
 
-class _Running:
-    """Parent-side record of one in-flight worker process."""
-
-    __slots__ = ("proc", "conn", "key", "attempt", "started", "host")
-
-    def __init__(self, proc, conn, key: str | None, attempt: int,
-                 host: str | None = None) -> None:
-        self.proc = proc
-        self.conn = conn
-        self.key = key
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.host = host
-
-
-def _worker_main(conn, job: Job, attempt: int,
-                 ctx: ExecContext | None = None) -> None:
-    """Child entry point: run one job, report ("ok", payload, meta) or
-    ("error", message) over the pipe, exit."""
-    # a forked worker inherits the farm's SIGTERM -> KeyboardInterrupt
-    # handler: restore the default so a reaped or externally killed
-    # worker dies by the signal (a crash) instead of reporting an error
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        payload, meta = execute_job_meta(job, attempt=attempt, ctx=ctx)
-        conn.send(("ok", payload, meta))
-    except BaseException as exc:  # report, don't let the child unwind noisily
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
 class RunFarm:
     """Schedule a job list across workers with caching and retries.
 
@@ -181,9 +145,11 @@ class RunFarm:
         the worker (jobs may override via ``Job.timeout_s``).  Serial
         mode cannot preempt and ignores it.
     max_retries:
-        Extra attempts after the first for a raising/crashed/hung job;
-        a job that exhausts them is reported ``failed`` without
-        aborting the rest of the sweep.
+        Relaunches charged to a raising/crashed/hung job; a job that
+        exhausts them is reported ``failed`` without aborting the rest
+        of the sweep.  A job's first crash or timeout is blamed on its
+        host and earns a credit instead (the failure matrix in
+        ``docs/serving.md``).
     backoff_s:
         Base relaunch delay; attempt *n* waits
         ``backoff_s * 2**(n-1)`` (capped at 2 s) before going back on
@@ -197,7 +163,8 @@ class RunFarm:
     fault_plan:
         Optional :class:`repro.reliability.FaultPlan`; worker faults
         (kill/hang/error) are delivered to the matching (job index,
-        attempt), cache faults damage entries before the preload pass.
+        attempt), ``host-stall`` faults to the matching launches on a
+        host, cache faults damage entries before the preload pass.
     checkpoint_dir:
         Directory for mid-run job checkpoints.  Lockstep kernel jobs
         (built with ``Job.kernel(..., quantum=...)``) save a checkpoint
@@ -219,8 +186,8 @@ class RunFarm:
         stream actually exists, and payloads stay bit-identical to
         uninstrumented runs.
     instrument_dir:
-        Where per-job streams land; defaults to the checkpoint dir's
-        sibling behaviour (in-memory, discarded) when unset.
+        Where per-job streams land.  When unset, streams are kept in
+        memory and discarded with the worker.
     """
 
     def __init__(self, workers: int | None = None,
@@ -297,10 +264,15 @@ class RunFarm:
                     stats.cache_misses += 1
                 todo.append((i, key))
 
+        self._exec = Executor(
+            self.deploy, max_retries=self.max_retries,
+            retry_policy=self.retry_policy, timeout_s=self.timeout_s,
+            fault_plan=self.fault_plan, checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=self.checkpoint_every)
         restore_handler = self._install_sigterm()
         try:
             if todo:
-                if self.workers > 1 and len(todo) > 1:
+                if self.workers > 1:
                     try:
                         self._run_parallel(jobs, todo, results)
                     except OSError:
@@ -340,21 +312,6 @@ class RunFarm:
                                     job=job, attempt=attempt, error=error,
                                     elapsed_s=elapsed_s))
 
-    def _job_timeout(self, job: Job) -> float | None:
-        return job.timeout_s if job.timeout_s is not None else self.timeout_s
-
-    def _exec_ctx(self, index: int, attempt: int, *,
-                  in_process: bool) -> ExecContext:
-        """Per-attempt execution context (fault + checkpoint policy)."""
-        fault = (self.fault_plan.worker_fault(index, attempt)
-                 if self.fault_plan is not None else None)
-        return ExecContext(fault=fault,
-                           checkpoint_dir=self.checkpoint_dir,
-                           checkpoint_every=self.checkpoint_every,
-                           in_process=in_process,
-                           instrument_spec=self.instrument_spec,
-                           instrument_dir=self.instrument_dir)
-
     def _install_sigterm(self) -> Callable[[], None]:
         """Route SIGTERM into KeyboardInterrupt for the graceful-shutdown
         path; returns a restorer.  No-op off the main thread (signal
@@ -389,8 +346,7 @@ class RunFarm:
     def _write_manifest(self, results: Sequence[JobResult]) -> None:
         if self.manifest_path is None:
             return
-        path = pathlib.Path(self.manifest_path)
-        doc = {
+        write_json_atomic(self.manifest_path, {
             "schema": FARM_SCHEMA,
             "interrupted": self.interrupted,
             "deploy": self.deploy.describe(),
@@ -402,208 +358,102 @@ class RunFarm:
                  "elapsed_s": round(r.elapsed_s, 6)}
                 for r in results
             ],
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(doc, f, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        }, indent=2, sort_keys=True)
 
-    def _complete(self, results, index: int, job: Job, key: str | None,
-                  payload: dict[str, Any], attempts: int,
-                  elapsed_s: float, meta: dict | None = None,
-                  host: str | None = None) -> None:
-        self.stats.simulated += 1
-        resumed = bool(meta and meta.get("resumed"))
-        if resumed:
-            self.stats.resumed += 1
-        if key is not None and self.cache is not None:
-            self.cache.put(key, job, payload)
-        results[index] = JobResult(job=job, index=index, status="ok",
-                                   payload=payload, attempts=attempts,
-                                   elapsed_s=elapsed_s, resumed=resumed,
-                                   host=host)
-        self._emit("ok", index, job, attempt=attempts, elapsed_s=elapsed_s)
+    def _launch(self, jobs: Sequence[Job], index: int, ledger: Ledger,
+                host: str, fork: bool) -> Attempt:
+        att = self._exec.launch(index, ledger, jobs[index], host,
+                                fault_index=index, fork=fork,
+                                instrument_spec=self.instrument_spec,
+                                instrument_dir=self.instrument_dir)
+        self._emit("start", index, jobs[index], attempt=att.number)
+        return att
 
-    def _fail(self, results, index: int, job: Job, attempts: int,
-              error: str, elapsed_s: float, host: str | None = None) -> None:
-        results[index] = JobResult(job=job, index=index, status="failed",
-                                   attempts=attempts, error=error,
-                                   elapsed_s=elapsed_s, host=host)
-        self._emit("failed", index, job, attempt=attempts, error=error,
-                   elapsed_s=elapsed_s)
+    def _book(self, att: Attempt, key: str | None,
+              results: list[JobResult | None]) -> float | None:
+        """Collect and settle one attempt; returns the relaunch delay
+        when the job goes back in the queue."""
+        out = self._exec.collect(att)
+        verdict = self._exec.settle(att, out)
+        index, job, stats = att.key, att.job, self.stats
+        if out.status in _FAILURE_COUNTERS:
+            counter = _FAILURE_COUNTERS[out.status]
+            setattr(stats, counter, getattr(stats, counter) + 1)
+        if verdict == "retry":
+            stats.retries += 1
+            self._emit("retry", index, job, attempt=att.number,
+                       error=out.error)
+            return out.delay
+        resumed = bool(out.meta.get("resumed"))
+        if verdict == "ok":
+            stats.simulated += 1
+            stats.resumed += resumed
+            if key is not None and self.cache is not None:
+                self.cache.put(key, job, out.payload)
+        results[index] = JobResult(
+            job=job, index=index, status=verdict, payload=out.payload,
+            attempts=att.number, error=out.error, elapsed_s=out.elapsed_s,
+            resumed=resumed, host=att.host)
+        self._emit(verdict, index, job, attempt=att.number, error=out.error,
+                   elapsed_s=out.elapsed_s)
+        return None
 
     # -- serial mode ---------------------------------------------------------
 
     def _run_serial(self, jobs: Sequence[Job],
                     todo: Sequence[tuple[int, str | None]],
                     results: list[JobResult | None]) -> None:
-        host = self.deploy.hosts[0].name
         for index, key in todo:
-            job = jobs[index]
-            error = "not attempted"
-            for attempt in range(1, self.max_retries + 2):
-                self._emit("start", index, job, attempt=attempt)
-                t0 = time.monotonic()
-                try:
-                    payload, meta = execute_job_meta(
-                        job, attempt=attempt,
-                        ctx=self._exec_ctx(index, attempt, in_process=True))
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    self.stats.errors += 1
-                    # serial exceptions surface from the workload itself
-                    self.deploy.report_failure(host, job_intrinsic=True)
-                    if attempt <= self.max_retries:
-                        self.stats.retries += 1
-                        self._emit("retry", index, job, attempt=attempt,
-                                   error=error)
-                        delay = self.retry_policy.delay(attempt)
-                        if delay:
-                            time.sleep(delay)
-                else:
-                    self.deploy.report_success(host)
-                    self._complete(results, index, job, key, payload,
-                                   attempts=attempt,
-                                   elapsed_s=time.monotonic() - t0,
-                                   meta=meta, host=host)
-                    break
-            else:
-                self._fail(results, index, job,
-                           attempts=self.max_retries + 1, error=error,
-                           elapsed_s=0.0, host=host)
+            ledger = Ledger()
+            delay = 0.0
+            while delay is not None:
+                time.sleep(delay)
+                att = self._launch(jobs, index, ledger, self.deploy.acquire(),
+                                   fork=False)
+                delay = self._book(att, key, results)
 
     # -- parallel mode -------------------------------------------------------
-
-    def _context(self):
-        # fork shares the warmed parent image (cheap start, inherited
-        # hash seed keeps any hash-ordered iteration identical); fall
-        # back to the platform default where fork does not exist
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def _run_parallel(self, jobs: Sequence[Job],
                       todo: Sequence[tuple[int, str | None]],
                       results: list[JobResult | None]) -> None:
-        ctx = self._context()
-        #: (not-before time, index, key, attempt) of jobs awaiting a worker
-        waiting: list[tuple[float, int, str | None, int]] = [
-            (0.0, index, key, 1) for index, key in todo
-        ]
-        running: dict[int, _Running] = {}
-
-        def launch(index: int, key: str | None, attempt: int,
-                   host: str) -> None:
-            recv, send = ctx.Pipe(duplex=False)
-            exec_ctx = self._exec_ctx(index, attempt, in_process=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(send, jobs[index], attempt, exec_ctx),
-                               daemon=True)
-            proc.start()
-            send.close()
-            running[index] = _Running(proc, recv, key, attempt, host=host)
-            self._emit("start", index, jobs[index], attempt=attempt)
-
-        def reap(index: int) -> _Running:
-            r = running.pop(index)
-            try:
-                r.conn.close()
-            except Exception:
-                pass
-            if r.proc.is_alive():
-                r.proc.terminate()
-            r.proc.join(timeout=5.0)
-            if r.host is not None:
-                self.deploy.release(r.host)
-            return r
-
-        def retry_or_fail(index: int, r: _Running, error: str) -> None:
-            if r.attempt <= self.max_retries:
-                self.stats.retries += 1
-                self._emit("retry", index, jobs[index], attempt=r.attempt,
-                           error=error)
-                delay = self.retry_policy.delay(r.attempt)
-                waiting.append((time.monotonic() + delay, index, r.key,
-                                r.attempt + 1))
-            else:
-                self._fail(results, index, jobs[index], attempts=r.attempt,
-                           error=error,
-                           elapsed_s=time.monotonic() - r.started,
-                           host=r.host)
-
+        ex = self._exec
+        keys = dict(todo)
+        ledgers = {index: Ledger() for index in keys}
+        #: (not-before time, index) of jobs awaiting a slot
+        waiting: list[tuple[float, int]] = [(0.0, index) for index in keys]
         try:
-            while waiting or running:
+            while waiting or ex.live:
                 now = time.monotonic()
                 waiting.sort()
                 while waiting and waiting[0][0] <= now:
                     host = self.deploy.acquire()
                     if host is None:
                         break
-                    _, index, key, attempt = waiting.pop(0)
-                    launch(index, key, attempt, host)
-
-                progressed = False
-                for index in list(running):
-                    r = running[index]
-                    if r.conn.poll():
-                        meta: dict | None = None
-                        try:
-                            msg = r.conn.recv()
-                            status, data = msg[0], msg[1]
-                            if len(msg) > 2:
-                                meta = msg[2]
-                        except (EOFError, OSError):
-                            status, data = "error", "worker pipe closed early"
-                        reap(index)
-                        if status == "ok":
-                            if r.host is not None:
-                                self.deploy.report_success(r.host)
-                            self._complete(results, index, jobs[index], r.key,
-                                           data, attempts=r.attempt,
-                                           elapsed_s=now - r.started,
-                                           meta=meta, host=r.host)
-                        else:
-                            self.stats.errors += 1
-                            # the workload itself raised: not the host's fault
-                            if r.host is not None:
-                                self.deploy.report_failure(
-                                    r.host, job_intrinsic=True)
-                            retry_or_fail(index, r, str(data))
-                        progressed = True
-                    elif not r.proc.is_alive():
-                        code = r.proc.exitcode
-                        reap(index)
-                        self.stats.crashes += 1
-                        if r.host is not None:
-                            self.deploy.report_failure(r.host)
-                        retry_or_fail(index, r,
-                                      f"worker crashed (exit code {code})")
-                        progressed = True
-                    else:
-                        limit = self._job_timeout(jobs[index])
-                        if limit is not None and now - r.started > limit:
-                            reap(index)
-                            self.stats.timeouts += 1
-                            if r.host is not None:
-                                self.deploy.report_failure(r.host)
-                            retry_or_fail(index, r,
-                                          f"timed out after {limit:g}s")
-                            progressed = True
-                if not progressed:
-                    # nothing finished this pass: nap briefly instead of
-                    # spinning (workers run for seconds, not micros)
-                    time.sleep(0.005)
+                    _, index = waiting.pop(0)
+                    self._launch(jobs, index, ledgers[index], host,
+                                 fork=True)
+                # block until a report, a pipe close, the nearest
+                # deadline, or the next retry falling due
+                wake = [a.deadline for a in ex.live.values()
+                        if a.deadline is not None]
+                if waiting and waiting[0][0] > now:
+                    wake.append(waiting[0][0])
+                ready = connection.wait(
+                    [a.conn for a in ex.live.values()],
+                    max(0.0, min(wake) - now) if wake else None)
+                now = time.monotonic()
+                for att in list(ex.live.values()):
+                    if att.conn in ready:
+                        delay = self._book(att, keys[att.key], results)
+                        if delay is not None:
+                            waiting.append((time.monotonic() + delay,
+                                            att.key))
+                    elif att.deadline is not None and att.deadline <= now:
+                        ex.expire(att)
         finally:
-            for index in list(running):
-                reap(index)
+            for att in list(ex.live.values()):
+                ex.reap(att)
 
 
 def run_jobs(jobs: Iterable[Job], *, workers: int | None = None,

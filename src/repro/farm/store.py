@@ -30,13 +30,12 @@ import dataclasses
 import json
 import os
 import pathlib
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any
 
 from ..telemetry import Snapshot
-from .cache import ResultCache
+from .cache import ResultCache, write_json_atomic
 from .job import Job
 
 __all__ = ["STORE_SCHEMA", "SharedResultStore", "StoreStats"]
@@ -153,17 +152,7 @@ class SharedResultStore(ResultCache):
 
     def _save_stats(self, stats: StoreStats) -> None:
         doc = {"schema": STORE_SCHEMA, **dataclasses.asdict(stats)}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(doc, f, sort_keys=True)
-            os.replace(tmp, self.stats_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self.stats_path, doc, sort_keys=True)
 
     def _bump(self, **deltas: int) -> None:
         """Add *deltas* to the persisted counters under the store lock.

@@ -52,14 +52,15 @@ class JobRecord:
     from_cache: bool = False
     preempt_requested: bool = False
     cancel_requested: bool = False
-    migrate_requested: bool = False  #: host quarantined under this job
     migrations: int = 0             #: times moved off a quarantined host
     recovered: bool = False         #: re-admitted from a journal replay
     orphan_pid: int | None = None   #: worker pid left behind by a crash
     pid: int | None = None          #: current worker pid, while running
+    #: hosts this job crashed or timed out on; with ``attempts``,
+    #: ``host_credits`` and ``migrations``, its account under the farm
+    #: executor's failure policy (:class:`repro.farm.executor.Ledger`)
     crash_hosts: list[str] = field(default_factory=list)
-    host_credits: int = 0           #: host-attributed failures (don't
-                                    #: count against the retry budget)
+    host_credits: int = 0           #: failures not charged to the job
     elapsed_s: float = 0.0
     submitted_at: float = field(default_factory=time.time)
     stream: str | None = None       #: progress/instrument stream path

@@ -11,9 +11,16 @@ asyncio event loop owns four things:
 * the :class:`~repro.farm.deploy.DeployManager` host-slot inventory —
   the same pluggable backends batch sweeps use, so a served job lands
   exactly where a ``repro farm`` job would;
-* one forked worker process per running job, watched through its result
-  pipe with ``loop.add_reader`` (a crashed worker closes the pipe, so
-  completion and death arrive through the same readiness event).
+* the :class:`~repro.farm.executor.Executor` shared with the batch
+  farm: one forked worker per running job, launched, reaped and settled
+  under the same failure policy as a ``RunFarm`` job.  The server
+  drives it asynchronously: each result pipe is watched with
+  ``loop.add_reader`` (a crashed worker closes the pipe, so completion
+  and death arrive through the same readiness event), and each
+  attempt's deadline is armed with ``loop.call_later`` at launch.
+
+Queueing, the journal, preempt/cancel/resume and the progress streams
+are the server's own.
 
 Every job gets an append-only progress stream in the spool
 (``streams/<id>.jsonl``, the PR 6 tailable JSONL format): lifecycle
@@ -37,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import pathlib
 import tempfile
@@ -45,11 +51,10 @@ import threading
 import time
 from typing import Any
 
-from ..farm.cache import cache_key
+from ..farm.cache import cache_key, write_json_atomic
 from ..farm.deploy import DeployManager, resolve_deploy
-from ..farm.job import ExecContext, Job
+from ..farm.executor import Attempt, Executor, Outcome
 from ..farm.retry import RetryPolicy
-from ..farm.runfarm import _worker_main
 from ..farm.store import SharedResultStore
 from ..instrument.stream import STREAM_SCHEMA, InstrumentStream
 from .journal import ServeJournal, replay_journal
@@ -60,20 +65,6 @@ __all__ = ["FarmServer", "ServerHandle"]
 
 #: max request line the server will read (a submit with sources fits)
 _MAX_LINE = 10 * 1024 * 1024
-
-
-class _Active:
-    """Server-side record of one running worker process."""
-
-    __slots__ = ("rec", "proc", "conn", "fd", "started", "timed_out")
-
-    def __init__(self, rec: JobRecord, proc, conn) -> None:
-        self.rec = rec
-        self.proc = proc
-        self.conn = conn
-        self.fd = conn.fileno()
-        self.started = time.monotonic()
-        self.timed_out = False
 
 
 class FarmServer:
@@ -96,11 +87,11 @@ class FarmServer:
     quotas / default_quota:
         Per-tenant concurrent-job quotas (see :class:`FairScheduler`).
     max_retries:
-        Automatic re-queues after a crashed/raising/timed-out attempt.
-        Host-attributed failures (the worker crashed or timed out on a
-        host the breaker then blamed) earn *host credits* and do not
-        consume this budget — a flaky host can't exhaust an innocent
-        job's retries.
+        Automatic re-queues charged to a crashed/raising/timed-out
+        job.  A job's first crash or timeout is blamed on its host and
+        earns a *host credit* that does not consume this budget, so a
+        flaky host can't exhaust an innocent job's retries (the failure
+        matrix in ``docs/serving.md``, shared with ``RunFarm``).
     backoff_s / retry_policy:
         Relaunch-delay schedule, shared with the batch farm:
         ``backoff_s`` is shorthand for ``RetryPolicy(base_s=backoff_s)``
@@ -179,13 +170,18 @@ class FarmServer:
         #: per-job instrument recipes (a submit-time option, not job identity)
         self._instrument_specs: dict[str, dict] = {}
         self._streams: dict[str, InstrumentStream] = {}
-        self._active: dict[str, _Active] = {}
+        #: launches, reaps and settles attempts; ``live`` is keyed by job id
+        self.executor = Executor(self.deploy, max_retries=self.max_retries,
+                                 retry_policy=self.retry_policy,
+                                 timeout_s=timeout_s, fault_plan=fault_plan,
+                                 checkpoint_dir=self.checkpoint_dir,
+                                 checkpoint_every=self.checkpoint_every)
+        self._active = self.executor.live
         self._seq = 0
         self._closing = False
         self._crashed = False
         self._drain = True
         self._req_count = 0
-        self._host_launches: dict[str, int] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -234,6 +230,16 @@ class FarmServer:
         """Append one lifecycle record to the job's progress stream."""
         self._stream(rec).write({"t": "serve", "event": event,
                                  "job": rec.id, "state": rec.state, **extra})
+
+    def _move(self, rec: JobRecord, state: str, event: str,
+              **extra: Any) -> None:
+        """Enter *state*: journal it write-ahead, then log *event* on the
+        job's stream, sealing the stream if the state is terminal."""
+        rec.state = state
+        self.journal.state(rec)
+        self._event(rec, event, **extra)
+        if rec.done:
+            self._seal(rec)
 
     def _seal(self, rec: JobRecord) -> None:
         stream = self._streams.pop(rec.id, None)
@@ -288,40 +294,44 @@ class FarmServer:
             doc = json.loads(path.read_text(encoding="utf-8"))
             rec.payload = doc["payload"]
         except (OSError, ValueError, KeyError):
-            if (self.store is not None and rec.job.cacheable
-                    and rec.id not in self._instrument_specs):
-                rec.payload = self.store.get(cache_key(rec.job))
-                if rec.payload is not None:
-                    rec.from_cache = True
-                    self._persist_result(rec)
-                    return True
+            rec.payload = self._store_get(rec)
+            if rec.payload is not None:
+                rec.from_cache = True
+                self._persist_result(rec)
+                return True
             return False
         rec.result_path = str(path)
         return True
 
+    def _storable(self, rec: JobRecord) -> bool:
+        # instrumented jobs skip the store: a hit would yield no stream
+        return (self.store is not None and rec.job.cacheable
+                and rec.id not in self._instrument_specs)
+
+    def _store_get(self, rec: JobRecord) -> dict[str, Any] | None:
+        return self.store.get(cache_key(rec.job)) if self._storable(rec) \
+            else None
+
+    def _store_hit(self, rec: JobRecord, payload: dict[str, Any]) -> None:
+        """Complete *rec* with a payload the shared store already had."""
+        rec.payload = payload
+        rec.from_cache = True
+        self._persist_result(rec)
+        self._move(rec, "ok", "store-hit")
+
     def _requeue_recovered(self, rec: JobRecord, was: str) -> None:
         """Re-admit one non-terminal journal job into the scheduler."""
         rec.recovered = True
-        ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
         # completed-elsewhere fast path: a store hit means the work is
         # already done (possibly by a twin submission) — don't redo it
-        if (self.store is not None and rec.job.cacheable
-                and rec.id not in self._instrument_specs):
-            payload = self.store.get(cache_key(rec.job))
-            if payload is not None:
-                rec.payload = payload
-                rec.from_cache = True
-                rec.state = "ok"
-                self.journal.state(rec)
-                self._persist_result(rec)
-                self._event(rec, "recovered", was=was)
-                self._event(rec, "store-hit")
-                self._seal(rec)
-                return
-        rec.state = "queued"
+        payload = self._store_get(rec)
+        if payload is not None:
+            self._event(rec, "recovered", was=was)
+            self._store_hit(rec, payload)
+            return
         rec.host = None
-        self.journal.state(rec)
-        self._event(rec, "recovered", was=was, checkpoint=ckpt.exists())
+        self._move(rec, "queued", "recovered", was=was,
+                   checkpoint=self._checkpoint(rec).exists())
         self.scheduler.submit(rec)
 
     # -- request handling ----------------------------------------------------
@@ -402,24 +412,15 @@ class FarmServer:
                             instrument=instrument)
         self._event(rec, "queued", tenant=tenant, priority=priority)
 
-        # store fast path: a previously computed payload completes the
-        # job without ever touching the scheduler (instrumented submits
-        # skip it — a hit would yield no stream to tail)
-        if (self.store is not None and job.cacheable and instrument is None):
-            payload = self.store.get(cache_key(job))
-            if payload is not None:
-                rec.payload = payload
-                rec.from_cache = True
-                rec.state = "ok"
-                self.journal.state(rec)
-                self._persist_result(rec)
-                self._event(rec, "store-hit")
-                self._seal(rec)
-                self._write_manifest()
-                return {"ok": True, **rec.describe()}
-
         if instrument is not None:
             self._instrument_specs[rec.id] = instrument
+        # store fast path: a previously computed payload completes the
+        # job without ever touching the scheduler
+        payload = self._store_get(rec)
+        if payload is not None:
+            self._store_hit(rec, payload)
+            self._write_manifest()
+            return {"ok": True, **rec.describe()}
         self.scheduler.submit(rec)
         self._pump()
         return {"ok": True, **rec.describe()}
@@ -452,10 +453,7 @@ class FarmServer:
         if rec.state == "queued":
             # never ran: preempting a queued job is just a cancel
             self.scheduler.withdraw(rec)
-            rec.state = "cancelled"
-            self.journal.state(rec)
-            self._event(rec, "cancelled", was="queued")
-            self._seal(rec)
+            self._move(rec, "cancelled", "cancelled", was="queued")
             self._write_manifest()
         elif rec.state == "running":
             if preempt:
@@ -463,16 +461,13 @@ class FarmServer:
             else:
                 rec.cancel_requested = True
             run = self._active.get(rec.id)
-            if run is not None and run.proc.is_alive():
-                run.proc.terminate()
+            if run is not None:
+                run.terminate()
             # state transition happens when the worker pipe closes
         elif rec.state == "preempted":
             if preempt:
                 raise ServeError(f"job {rec.id} is already preempted")
-            rec.state = "cancelled"
-            self.journal.state(rec)
-            self._event(rec, "cancelled", was="preempted")
-            self._seal(rec)
+            self._move(rec, "cancelled", "cancelled", was="preempted")
             self._write_manifest()
         return {"ok": True, **rec.describe()}
 
@@ -483,9 +478,7 @@ class FarmServer:
         if rec.state != "preempted":
             raise ServeError(
                 f"job {rec.id} is {rec.state}; only preempted jobs resume")
-        rec.state = "queued"
-        self.journal.state(rec)
-        self._event(rec, "resume-queued")
+        self._move(rec, "queued", "resume-queued")
         self.scheduler.submit(rec)
         self._pump()
         return {"ok": True, **rec.describe()}
@@ -496,9 +489,8 @@ class FarmServer:
         self._drain = drain
         if not drain:
             for run in list(self._active.values()):
-                run.rec.preempt_requested = True
-                if run.proc.is_alive():
-                    run.proc.terminate()
+                run.ledger.preempt_requested = True
+                run.terminate()
         self._maybe_finish()
         return {"ok": True, "drain": drain,
                 "running": len(self._active),
@@ -520,196 +512,94 @@ class FarmServer:
                 return
             self._launch(rec, host)
 
-    def _mp_context(self):
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def _exec_ctx(self, rec: JobRecord, host: str) -> ExecContext:
+    def _launch(self, rec: JobRecord, host: str) -> None:
         spec = self._instrument_specs.get(rec.id)
         idir = None
         if spec is not None:
             idir = self.instrument_dir(rec.id)
             idir.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        return ExecContext(fault=self._pick_fault(rec, host),
-                           checkpoint_dir=self.checkpoint_dir,
-                           checkpoint_every=self.checkpoint_every,
-                           in_process=False,
-                           instrument_spec=spec,
-                           instrument_dir=idir)
-
-    def _pick_fault(self, rec: JobRecord, host: str):
-        """The chaos fault (if any) this attempt must deliver: worker
-        faults key on admission order, host-stalls on launch-per-host."""
-        if self.fault_plan is None:
-            return None
-        fault = self.fault_plan.worker_fault(rec.seq - 1, rec.attempts)
-        if fault is None:
-            fault = self.fault_plan.host_stall(
-                host, self._host_launches.get(host, 0))
-        return fault
-
-    def _launch(self, rec: JobRecord, host: str) -> None:
-        ctx = self._mp_context()
-        recv, send = ctx.Pipe(duplex=False)
-        rec.attempts += 1
         rec.state = "running"
         rec.host = host
-        exec_ctx = self._exec_ctx(rec, host)
-        self._host_launches[host] = self._host_launches.get(host, 0) + 1
-        proc = ctx.Process(target=_worker_main,
-                           args=(send, rec.job, rec.attempts, exec_ctx),
-                           daemon=True)
-        proc.start()
-        send.close()
-        rec.pid = proc.pid
-        self.journal.state(rec, pid=proc.pid)
-        run = _Active(rec, proc, recv)
-        self._active[rec.id] = run
+        run = self.executor.launch(rec.id, rec, rec.job, host,
+                                   fault_index=rec.seq - 1,
+                                   instrument_spec=spec, instrument_dir=idir)
+        rec.pid = run.proc.pid
+        self.journal.state(rec, pid=rec.pid)
         self._event(rec, "start", attempt=rec.attempts, host=host)
         assert self._loop is not None
-        self._loop.add_reader(run.fd, self._on_worker_done, rec.id)
+        self._loop.add_reader(run.fd, self._on_worker_done, run)
+        if run.deadline is not None:
+            self._loop.call_later(run.deadline - time.monotonic(),
+                                  self.executor.expire, run)
 
-    def _on_worker_done(self, job_id: str) -> None:
+    def _on_worker_done(self, run: Attempt) -> None:
         """Worker pipe became readable: a result, an error, or EOF from
         a dead/terminated process — all outcomes land here."""
-        run = self._active.pop(job_id, None)
-        if run is None:
+        if self._active.get(run.key) is not run:
             return
         assert self._loop is not None
         self._loop.remove_reader(run.fd)
-        rec = run.rec
-        meta: dict[str, Any] = {}
-        try:
-            msg = run.conn.recv()
-            status, data = msg[0], msg[1]
-            if len(msg) > 2 and msg[2]:
-                meta = msg[2]
-        except (EOFError, OSError):
-            status, data = "crash", "worker exited without reporting"
-        try:
-            run.conn.close()
-        except OSError:
-            pass
-        if run.proc.is_alive():
-            run.proc.terminate()
-        run.proc.join(timeout=5.0)
-        rec.elapsed_s = time.monotonic() - run.started
-        self.deploy.release(run.host if rec.host is None else rec.host)
+        out = self.executor.collect(run)
+        rec = run.ledger
+        rec.elapsed_s = out.elapsed_s
         self.scheduler.job_finished(rec.tenant)
-        self._transition(rec, run, status, data, meta)
+        self._transition(rec, run, out)
         self._pump()
         self._maybe_finish()
 
-    def _transition(self, rec: JobRecord, run: _Active, status: str,
-                    data: Any, meta: dict[str, Any]) -> None:
+    def _transition(self, rec: JobRecord, run: Attempt,
+                    out: Outcome) -> None:
         rec.pid = None
         if rec.cancel_requested:
-            rec.state = "cancelled"
-            self.journal.state(rec)
-            self._event(rec, "cancelled", was="running")
-            self._seal(rec)
-        elif rec.migrate_requested and status != "ok":
-            # the host was quarantined under this job: preempt-and-requeue
-            # via the checkpoint path, at no cost to the retry budget
-            rec.migrate_requested = False
-            rec.migrations += 1
-            if rec.migrations <= len(self.deploy.hosts):
-                rec.host_credits += 1
-            from_host = rec.host
-            rec.state = "queued"
-            ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
-            self.journal.state(rec)
-            self._event(rec, "migrate", attempt=rec.attempts,
-                        from_host=from_host, checkpoint=ckpt.exists())
-            self.scheduler.submit(rec)
-            # _pump follows in _on_worker_done; the job lands on a
-            # healthy host because acquire() skips quarantined ones
-        elif rec.preempt_requested and status != "ok":
+            self._move(rec, "cancelled", "cancelled", was="running")
+        elif rec.preempt_requested and out.status not in ("ok", "migrate"):
             rec.preempt_requested = False
-            rec.state = "preempted"
-            ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
-            self.journal.state(rec)
-            self._event(rec, "preempted", attempt=rec.attempts,
-                        checkpoint=ckpt.exists())
+            self._move(rec, "preempted", "preempted", attempt=rec.attempts,
+                       checkpoint=self._checkpoint(rec).exists())
             # stream stays unsealed: a resume continues the same file
-        elif status == "ok":
-            rec.migrate_requested = False
-            rec.payload = data
-            rec.resumed = bool(meta.get("resumed"))
-            rec.state = "ok"
-            if rec.host is not None:
-                self.deploy.report_success(rec.host)
-            if (self.store is not None and rec.job.cacheable
-                    and rec.id not in self._instrument_specs):
-                self.store.put(cache_key(rec.job), rec.job, data)
-            self.journal.state(rec)
-            self._persist_result(rec)
-            if rec.migrations:
-                self._event(rec, "recover", host=rec.host,
-                            resumed=rec.resumed, migrations=rec.migrations)
-            self._event(rec, "ok", attempt=rec.attempts,
-                        resumed=rec.resumed, cycles=data.get("cycles"))
-            self._seal(rec)
         else:
-            error = (f"timed out after "
-                     f"{self._job_timeout(rec.job):g}s" if run.timed_out
-                     else str(data))
-            rec.error = error
-            self._attribute_failure(rec, run, status)
-            charged = rec.attempts - rec.host_credits
-            if charged <= self.max_retries and not self._closing:
-                rec.state = "queued"
+            verdict = self.executor.settle(run, out)
+            if out.quarantined:
+                self._event(rec, "quarantine", host=run.host, error=out.error)
+            if verdict == "ok":
+                rec.payload = out.payload
+                rec.resumed = bool(out.meta.get("resumed"))
+                rec.state = "ok"
+                if self._storable(rec):
+                    self.store.put(cache_key(rec.job), rec.job, out.payload)
                 self.journal.state(rec)
-                self._event(rec, "retry", attempt=rec.attempts, error=error)
-                delay = self.retry_policy.delay(rec.attempts)
-                assert self._loop is not None
-                self._loop.call_later(delay, self._requeue, rec)
-            else:
-                rec.state = "failed"
-                self.journal.state(rec)
-                self._event(rec, "failed", attempt=rec.attempts, error=error)
+                self._persist_result(rec)
+                if rec.migrations:
+                    self._event(rec, "recover", host=rec.host,
+                                resumed=rec.resumed,
+                                migrations=rec.migrations)
+                self._event(rec, "ok", attempt=rec.attempts,
+                            resumed=rec.resumed,
+                            cycles=out.payload.get("cycles"))
                 self._seal(rec)
+            elif out.status == "migrate":
+                # preempted off a newly quarantined host: back in the
+                # queue now, resuming from its checkpoint on a healthy
+                # host (acquire() skips quarantined ones)
+                self._move(rec, "queued", "migrate", attempt=rec.attempts,
+                           from_host=run.host,
+                           checkpoint=self._checkpoint(rec).exists())
+                self.scheduler.submit(rec)
+            elif verdict == "retry" and not self._closing:
+                rec.error = out.error
+                self._move(rec, "queued", "retry", attempt=rec.attempts,
+                           error=out.error)
+                assert self._loop is not None
+                self._loop.call_later(out.delay, self._requeue, rec)
+            else:
+                rec.error = out.error
+                self._move(rec, "failed", "failed", attempt=rec.attempts,
+                           error=out.error)
         if rec.done:
             self._write_manifest()
 
-    def _attribute_failure(self, rec: JobRecord, run: _Active,
-                           status: str) -> None:
-        """Blame a failed attempt on the host or the job, and trip the
-        breaker/migration when the host crosses its quarantine line.
-
-        A crash/timeout is host-correlated the first time it happens on
-        a given host; the same job dying on a second distinct host looks
-        job-intrinsic (the job travels, the fault travels with it).  A
-        workload exception is always job-intrinsic.
-        """
-        host = rec.host
-        if host is None:
-            return
-        host_fault = bool(run.timed_out or status == "crash")
-        intrinsic = (not host_fault or host in rec.crash_hosts
-                     or len(rec.crash_hosts) >= 2)
-        if host_fault and host not in rec.crash_hosts:
-            rec.crash_hosts.append(host)
-        was = self.deploy.health(host).state
-        self.deploy.report_failure(host, job_intrinsic=intrinsic)
-        if not intrinsic:
-            rec.host_credits += 1
-        if (self.deploy.health(host).state == "quarantined"
-                and was != "quarantined"):
-            self._event(rec, "quarantine", host=host, error=rec.error)
-            self._migrate_host(host)
-
-    def _migrate_host(self, host: str) -> None:
-        """Preempt every other job still running on a newly quarantined
-        host; each lands back in the queue via its checkpoint."""
-        for other in list(self._active.values()):
-            rec = other.rec
-            if rec.host == host and not rec.done:
-                rec.migrate_requested = True
-                if other.proc.is_alive():
-                    other.proc.terminate()
+    def _checkpoint(self, rec: JobRecord) -> pathlib.Path:
+        return self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
 
     def _requeue(self, rec: JobRecord) -> None:
         if rec.state != "queued" or self._closing and not self._drain:
@@ -717,49 +607,24 @@ class FarmServer:
         self.scheduler.submit(rec)
         self._pump()
 
-    def _job_timeout(self, job: Job) -> float | None:
-        return job.timeout_s if job.timeout_s is not None else self.timeout_s
-
-    async def _watchdog(self) -> None:
-        """Kill running jobs that blew their wall-clock limit."""
-        while True:
-            await asyncio.sleep(0.05)
-            now = time.monotonic()
-            for run in list(self._active.values()):
-                limit = self._job_timeout(run.rec.job)
-                if (limit is not None and not run.timed_out
-                        and now - run.started > limit):
-                    run.timed_out = True
-                    if run.proc.is_alive():
-                        run.proc.terminate()
-
     # -- persistence ---------------------------------------------------------
 
     def _persist_result(self, rec: JobRecord) -> None:
         path = self.spool / "results" / f"{rec.id}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"id": rec.id, "tenant": rec.tenant, "label": rec.job.label,
-               "from_cache": rec.from_cache, "resumed": rec.resumed,
-               "attempts": rec.attempts, "payload": rec.payload}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True)
-        os.replace(tmp, path)
+        write_json_atomic(path, {
+            "id": rec.id, "tenant": rec.tenant, "label": rec.job.label,
+            "from_cache": rec.from_cache, "resumed": rec.resumed,
+            "attempts": rec.attempts, "payload": rec.payload},
+            sort_keys=True)
         rec.result_path = str(path)
 
     def _write_manifest(self) -> None:
-        path = self.spool / "manifest.json"
-        doc = {
+        write_json_atomic(self.spool / "manifest.json", {
             "protocol": PROTOCOL_VERSION,
             "deploy": self.deploy.describe(),
             "scheduler": self.scheduler.describe(),
             "jobs": [self.jobs[k].describe() for k in sorted(self.jobs)],
-        }
-        self.spool.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.spool, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        }, indent=2, sort_keys=True)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -797,9 +662,9 @@ class FarmServer:
             self.socket_path.unlink()
         except OSError:
             pass
+        self.checkpoint_dir.mkdir(exist_ok=True)
         self._server = await asyncio.start_unix_server(
             self._handle, path=str(self.socket_path), limit=_MAX_LINE)
-        self._watchdog_task = asyncio.ensure_future(self._watchdog())
         # jobs re-enqueued by a journal replay are waiting for the loop
         if self.scheduler.queued:
             self._pump()
@@ -813,7 +678,6 @@ class FarmServer:
         try:
             await self._done.wait()
         finally:
-            self._watchdog_task.cancel()
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()

@@ -242,3 +242,31 @@ def test_hard_shutdown_preempts_running_work(tmp_path):
     assert not handle.thread.is_alive()
     final = handle.server.jobs[doc["id"]]
     assert final.state in {"preempted", "ok"}
+
+
+# ------------------------------------------------------------ spool writes
+
+def test_spool_writes_leave_no_tmp_when_dump_raises(tmp_path, monkeypatch):
+    """A results or manifest write that fails mid-dump unlinks its
+    tempfile instead of leaving a ``*.tmp`` orphan in the spool."""
+    import json
+
+    from repro.serve.queue import JobRecord
+
+    server = FarmServer(tmp_path / "spool", deploy="local:1", store=False)
+    rec = JobRecord(id="j0001", tenant="t", priority=0,
+                    job=Job.selftest("ok"), seq=1, payload={"value": 1})
+    server.jobs[rec.id] = rec
+    (server.spool / "results").mkdir(parents=True)
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        server._persist_result(rec)
+    with pytest.raises(OSError, match="disk full"):
+        server._write_manifest()
+    server.journal.close()
+    assert not list(server.spool.glob("*.tmp"))
+    assert not list((server.spool / "results").glob("*.tmp"))
